@@ -1940,6 +1940,28 @@ mod tests {
         }
     }
 
+    /// Pins the full trace of the contended schedule — every delivery row
+    /// plus the final stats — on both fabrics at both GT origins (zero
+    /// and two ticks before an era rollover). Any change to event order,
+    /// tie-breaking or §2.2 rule processing moves a digest.
+    #[test]
+    fn contended_trace_matches_pinned_digests() {
+        use tss_sim::hash::fingerprint128;
+        let era_edge = Gt::from_parts(0, Gt::TICK_MASK - 1);
+        let cases = [
+            (Fabric::torus4x4(), Gt::ZERO, "426c577111bce89901a8182ad0f8e05d"),
+            (Fabric::torus4x4(), era_edge, "9be2ecfd6e379879dbe8eaba3190772e"),
+            (Fabric::butterfly(4, 2, 1), Gt::ZERO, "415d98b229247f8f981c9bcc550faebd"),
+            (Fabric::butterfly(4, 2, 1), era_edge, "fb953c08ded70bc5488dbcf4b735d915"),
+        ];
+        for (fabric, origin, want) in cases {
+            let mut net = DetailedNet::new(Arc::new(fabric), contended_cfg(origin));
+            let (log, stats) = drive_contended(&mut net);
+            let digest = fingerprint128(format!("{log:?} {stats}").as_bytes());
+            assert_eq!(format!("{digest:032x}"), want, "trace moved at origin {origin:?}");
+        }
+    }
+
     #[test]
     fn pooled_run_reproduces_serial_bytes_at_every_thread_count() {
         // Covered at both GT origins: zero and two ticks before an era
