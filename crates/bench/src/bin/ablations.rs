@@ -207,7 +207,6 @@ fn main() {
     // flags would be silently ignored, so refuse them instead.
     cli.forbid_shard("ablations");
     cli.forbid_resume("ablations");
-    cli.forbid_threads("ablations");
     cli.forbid_remote("ablations");
     // Ablations default to a smaller scale than the figures.
     if (cli.scale - tss_bench::DEFAULT_SCALE).abs() < 1e-12 {

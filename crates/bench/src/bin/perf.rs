@@ -9,13 +9,12 @@
 //!
 //! ```json
 //! { "<bench name>": { "wall_ms": 812.4, "events": 5,000,000,
-//!                     "ns_per_event": 162.5, "seed": 0, "threads": 0 } }
+//!                     "ns_per_event": 162.5, "seed": 0, "nproc": 2 } }
 //! ```
 //!
-//! The `threads` field records the frontier-worker count the entry was
-//! measured with (0 = serial) — a host caveat, since a parallel entry
-//! measured on a 1-CPU container reads as a regression when it is only
-//! oversubscription.
+//! The `nproc` field records the CPU count of the host the entry was
+//! measured on, so numbers from different hosts are never compared
+//! unknowingly.
 //!
 //! Entries the current run does not produce (e.g. the frozen
 //! `*@pre_pr4` before-numbers) are preserved on merge, so the artifact
@@ -30,9 +29,8 @@
 //! perf --scale 0.002 --seeds 1 --check BENCH_hotpath.json  # CI smoke
 //! ```
 //!
-//! Alongside the JSON metrics the run prints the hot-path counters the
-//! PR-4 optimisations expose: events popped, action-buffer allocations
-//! avoided, and idle token waves skipped in closed form.
+//! Alongside the JSON metrics the run prints the hot-path counters:
+//! events popped and idle token waves skipped in closed form.
 
 use std::path::PathBuf;
 
@@ -46,15 +44,12 @@ use tss_workloads::paper;
 
 /// Every bench this binary can run, in run order (the `--only` filter's
 /// vocabulary).
-const BENCH_NAMES: [&str; 11] = [
+const BENCH_NAMES: [&str; 8] = [
     "event_queue_micro",
     "fast_cell_oltp_butterfly",
     "tardis_oltp",
     "detailed_cell_oltp_torus",
     "detailed_torus256_serial",
-    "detailed_torus256_parallel",
-    "detailed_torus256_parallel@t2",
-    "detailed_torus256_parallel@t4",
     "fig3_fast_grid",
     "detailed_contention_grid",
     "remote_fast_grid",
@@ -64,7 +59,6 @@ struct Args {
     scale: f64,
     seeds: u64,
     seed: u64,
-    threads: usize,
     only: Option<Vec<String>>,
     json: PathBuf,
     check: Option<PathBuf>,
@@ -76,18 +70,12 @@ options:
   --scale <f>       workload scale factor (default 1/64)
   --seeds <n>       perturbation runs per grid cell (default 3)
   --seed <n>        workload seed (default 0)
-  --threads <n>     frontier workers for detailed_torus256_parallel
-                    (default 4; results are byte-identical to serial —
-                    this knob only moves wall clock; the @t2/@t4
-                    variants pin their own counts)
   --only <list>     run only these comma-separated benches (default all;
                     names: event_queue_micro, fast_cell_oltp_butterfly,
                     tardis_oltp,
                     detailed_cell_oltp_torus, detailed_torus256_serial,
-                    detailed_torus256_parallel,
-                    detailed_torus256_parallel@t2,
-                    detailed_torus256_parallel@t4, fig3_fast_grid,
-                    detailed_contention_grid, remote_fast_grid)
+                    fig3_fast_grid, detailed_contention_grid,
+                    remote_fast_grid)
   --json <path>     where to merge the results (default BENCH_hotpath.json)
   --check <path>    compare ns_per_event against this baseline and fail on blow-up
   --max-ratio <f>   blow-up threshold for --check (default 5.0)
@@ -98,7 +86,6 @@ fn parse_args() -> Result<Args, String> {
         scale: tss_bench::DEFAULT_SCALE,
         seeds: tss_bench::DEFAULT_SEEDS,
         seed: 0,
-        threads: 4,
         only: None,
         json: PathBuf::from("BENCH_hotpath.json"),
         check: None,
@@ -130,11 +117,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or_else(|| format!("bad --seeds {value:?}"))?;
             }
             "--seed" => args.seed = value.parse().map_err(|_| format!("bad --seed {value:?}"))?,
-            "--threads" => {
-                args.threads = value
-                    .parse()
-                    .map_err(|_| format!("bad --threads {value:?}"))?;
-            }
             "--only" => {
                 let names: Vec<String> = value.split(',').map(|n| n.trim().to_string()).collect();
                 for name in &names {
@@ -169,11 +151,6 @@ struct Measurement {
     wall_ms: f64,
     events: u64,
     seed: u64,
-    /// Frontier workers this entry was measured with (0 = serial) —
-    /// recorded in the artifact so a parallel number can be read in
-    /// host context (4 workers on a 1-CPU container is oversubscription,
-    /// not a regression).
-    threads: u64,
 }
 
 impl Measurement {
@@ -220,7 +197,6 @@ fn event_queue_micro(seed: u64) -> Measurement {
         wall_ms,
         events: POPS,
         seed,
-        threads: 0,
     }
 }
 
@@ -238,15 +214,14 @@ fn fast_cell(args: &Args) -> Measurement {
             .run()
     });
     println!(
-        "  [fast_cell_oltp_butterfly] events {}  alloc-free dispatches {}",
-        result.stats.events_processed, result.perf.action_allocs_avoided
+        "  [fast_cell_oltp_butterfly] events {}",
+        result.stats.events_processed
     );
     Measurement {
         name: "fast_cell_oltp_butterfly",
         wall_ms,
         events: result.stats.events_processed,
         seed: args.seed,
-        threads: 0,
     }
 }
 
@@ -273,7 +248,6 @@ fn tardis_cell(args: &Args) -> Measurement {
         wall_ms,
         events: result.stats.events_processed,
         seed: args.seed,
-        threads: 0,
     }
 }
 
@@ -292,24 +266,21 @@ fn detailed_cell(args: &Args) -> Measurement {
             .run()
     });
     println!(
-        "  [detailed_cell_oltp_torus] events {}  waves skipped {}  alloc-free dispatches {}",
-        result.stats.events_processed, result.perf.waves_skipped, result.perf.action_allocs_avoided
+        "  [detailed_cell_oltp_torus] events {}  waves skipped {}",
+        result.stats.events_processed, result.perf.waves_skipped
     );
     Measurement {
         name: "detailed_cell_oltp_torus",
         wall_ms,
         events: result.stats.events_processed,
         seed: args.seed,
-        threads: 0,
     }
 }
 
-/// The big-cell bench the parallel event loop exists for: a 256-node
-/// torus under the detailed model, where each token wave is a
-/// 512-event instant and the serial loop is the bottleneck. Run twice
-/// (serial, then `--threads` workers) so the artifact carries the
-/// parallel speedup as the ratio of the two ns/event entries.
-fn torus256_cell(args: &Args, threads: usize, name: &'static str) -> Measurement {
+/// The big-cell bench: a 256-node torus under the detailed model, where
+/// each token wave is a 512-event instant and one System event stands
+/// for hundreds of token-net events.
+fn torus256_cell(args: &Args) -> Measurement {
     let (wall_ms, result) = time(|| {
         System::builder()
             .protocol(ProtocolKind::TsSnoop)
@@ -326,32 +297,19 @@ fn torus256_cell(args: &Args, threads: usize, name: &'static str) -> Measurement
             })
             .workload(paper::oltp(args.scale))
             .seed(args.seed)
-            .threads(threads)
             .build()
             .expect("valid config")
             .run()
     });
-    let ipe = if result.perf.parallel_epochs == 0 {
-        0.0
-    } else {
-        result.perf.parallel_instants as f64 / result.perf.parallel_epochs as f64
-    };
     println!(
-        "  [{name}] events {}  parallel instants {} covering {} net events \
-         in {} epochs ({:.2} instants/epoch, {} threads)",
-        result.stats.events_processed,
-        result.perf.parallel_instants,
-        result.perf.parallel_events,
-        result.perf.parallel_epochs,
-        ipe,
-        result.perf.parallel_threads
+        "  [detailed_torus256_serial] events {}  waves skipped {}",
+        result.stats.events_processed, result.perf.waves_skipped
     );
     Measurement {
-        name,
+        name: "detailed_torus256_serial",
         wall_ms,
         events: result.stats.events_processed,
         seed: args.seed,
-        threads: threads as u64,
     }
 }
 
@@ -379,7 +337,6 @@ fn grid_bench(name: &'static str, args: &Args, net: NetworkModelSpec) -> Measure
         wall_ms,
         events,
         seed: args.seed,
-        threads: 0,
     }
 }
 
@@ -425,13 +382,13 @@ fn remote_fast_grid(args: &Args) -> Measurement {
         wall_ms,
         events,
         seed: args.seed,
-        threads: 0,
     }
 }
 
 /// Merges `fresh` into the JSON artifact at `path`, preserving entries of
 /// benches this run did not produce (historic `*@pre_pr4` records).
 fn merge_json(path: &PathBuf, fresh: &[Measurement]) -> std::io::Result<()> {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
     // A present-but-unreadable artifact is an error, not a reset: silently
     // starting over would destroy the frozen `*@pre_pr4` history.
     let mut entries: Vec<(String, serde_json::Value)> = match std::fs::read_to_string(path) {
@@ -457,7 +414,7 @@ fn merge_json(path: &PathBuf, fresh: &[Measurement]) -> std::io::Result<()> {
                 serde_json::Value::F64(round2(m.ns_per_event())),
             ),
             ("seed".into(), serde_json::Value::U64(m.seed)),
-            ("threads".into(), serde_json::Value::U64(m.threads)),
+            ("nproc".into(), serde_json::Value::U64(nproc)),
         ]);
         match entries.iter_mut().find(|(k, _)| k == m.name) {
             Some((_, v)) => *v = obj,
@@ -501,50 +458,6 @@ fn check_against(
     Ok(failures)
 }
 
-/// The epoch-batching budget: when this run measured both the torus256
-/// serial bench and a >= 4-worker parallel one, the parallel entry must
-/// stay within 5% of the serial ns/event — the win batching locked in.
-/// Only meaningful on a host with >= 4 CPUs; elsewhere the workers just
-/// oversubscribe one core and the comparison says nothing, so the check
-/// reports itself skipped instead.
-fn check_parallel_budget(fresh: &[Measurement]) -> Result<(), String> {
-    const BUDGET: f64 = 1.05;
-    let Some(serial) = fresh.iter().find(|m| m.name == "detailed_torus256_serial") else {
-        return Ok(());
-    };
-    let Some(par) = fresh
-        .iter()
-        .find(|m| m.name.starts_with("detailed_torus256_parallel") && m.threads >= 4)
-    else {
-        return Ok(());
-    };
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cpus < 4 {
-        println!(
-            "parallel budget: skipped ({cpus} CPUs; {} workers would oversubscribe)",
-            par.threads
-        );
-        return Ok(());
-    }
-    if serial.events > 0 && par.ns_per_event() > serial.ns_per_event() * BUDGET {
-        return Err(format!(
-            "PERF REGRESSION {}: {:.1} ns/event vs serial {:.1} (> {:.0}% budget)",
-            par.name,
-            par.ns_per_event(),
-            serial.ns_per_event(),
-            (BUDGET - 1.0) * 100.0
-        ));
-    }
-    println!(
-        "parallel budget: {} at {:.1} ns/event within {:.0}% of serial {:.1}",
-        par.name,
-        par.ns_per_event(),
-        (BUDGET - 1.0) * 100.0,
-        serial.ns_per_event()
-    );
-    Ok(())
-}
-
 fn main() {
     let args = match parse_args() {
         Ok(args) => args,
@@ -580,20 +493,7 @@ fn main() {
         measurements.push(detailed_cell(&args));
     }
     if wants("detailed_torus256_serial") {
-        measurements.push(torus256_cell(&args, 0, "detailed_torus256_serial"));
-    }
-    if wants("detailed_torus256_parallel") {
-        measurements.push(torus256_cell(
-            &args,
-            args.threads,
-            "detailed_torus256_parallel",
-        ));
-    }
-    if wants("detailed_torus256_parallel@t2") {
-        measurements.push(torus256_cell(&args, 2, "detailed_torus256_parallel@t2"));
-    }
-    if wants("detailed_torus256_parallel@t4") {
-        measurements.push(torus256_cell(&args, 4, "detailed_torus256_parallel@t4"));
+        measurements.push(torus256_cell(&args));
     }
     if wants("fig3_fast_grid") {
         measurements.push(grid_bench("fig3_fast_grid", &args, NetworkModelSpec::Fast));
@@ -653,10 +553,6 @@ fn main() {
                 eprintln!("error: {e}");
                 std::process::exit(2);
             }
-        }
-        if let Err(e) = check_parallel_budget(&measurements) {
-            eprintln!("{e}");
-            std::process::exit(1);
         }
     }
 }

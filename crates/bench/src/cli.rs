@@ -44,11 +44,6 @@ pub struct Cli {
     /// cell keys) are origin-invariant, so any value must reproduce the
     /// origin-0 artifact byte for byte.
     pub gt_origin: u64,
-    /// `--threads <n>`: frontier workers for the conservative parallel
-    /// event loop inside each cell's detailed address network (0/1 =
-    /// serial). A wall-clock knob only: artifacts are byte-identical at
-    /// every value.
-    pub threads: usize,
     /// `--remote <url>`: submit the grid to a running `sweep-server`
     /// instead of simulating locally. The artifact is byte-identical to
     /// a local run; only `grid` accepts it (see [`Cli::forbid_remote`]).
@@ -71,7 +66,6 @@ impl Default for Cli {
             resume: None,
             shard: (0, 1),
             gt_origin: 0,
-            threads: 0,
             remote: None,
             json: None,
         }
@@ -108,12 +102,6 @@ options:
                       origin-invariant, so seeding just below an era
                       rollover must reproduce the origin-0 artifact
                       byte for byte
-  --threads <n>       frontier workers for the parallel event loop inside
-                      each cell's detailed address network (default 0 =
-                      serial; needs --net detailed to matter). Wall-clock
-                      knob only: artifacts are byte-identical at every
-                      value. Single-grid binaries only; composite ones
-                      reject it
   --remote <url>      submit the grid to a running sweep-server at
                       http://host:port instead of simulating locally;
                       the JSON artifact is byte-identical to a local
@@ -221,11 +209,6 @@ impl Cli {
                         .parse()
                         .map_err(|_| format!("bad --gt-origin {value:?}"))?;
                 }
-                "--threads" => {
-                    cli.threads = value
-                        .parse()
-                        .map_err(|_| format!("bad --threads {value:?}"))?;
-                }
                 "--remote" => cli.remote = Some(value.clone()),
                 "--json" => cli.json = Some(PathBuf::from(value)),
                 other => {
@@ -285,13 +268,6 @@ impl Cli {
             if cli.gt_origin != 0 {
                 return Err("--remote always simulates at gt-origin 0; drop --gt-origin".into());
             }
-            if cli.threads > 1 {
-                return Err(
-                    "--remote simulates server-side with the server's own threading; \
-                     drop --threads"
-                        .into(),
-                );
-            }
         }
         Ok(cli)
     }
@@ -338,20 +314,6 @@ impl Cli {
         }
     }
 
-    /// Aborts (exit 2) when `--threads` was given to a binary that runs
-    /// its cells outside [`Cli::grid`]: the flag would be silently
-    /// ignored there, and a user benchmarking "parallel" cells deserves
-    /// to know nothing was parallel.
-    pub fn forbid_threads(&self, bin: &str) {
-        if self.threads > 1 {
-            eprintln!(
-                "error: {bin} measures its cells outside the experiment grid, so \
-                 --threads has no loop to parallelize; drop the flag"
-            );
-            std::process::exit(2);
-        }
-    }
-
     /// The paper workloads selected by `--workloads`, at `--scale`, in
     /// Table 1 order ([`paper::select`]; `None` = all five).
     pub fn paper_workloads(&self) -> Result<Vec<WorkloadSpec>, String> {
@@ -374,8 +336,7 @@ impl Cli {
             .seeds([self.seed])
             .perturbation(self.perturbation_ns, self.seeds)
             .shard(self.shard.0, self.shard.1)
-            .gt_origin(self.gt_origin)
-            .cell_threads(self.threads);
+            .gt_origin(self.gt_origin);
         if let Some(dir) = &self.resume {
             grid = grid.resume(dir);
         }
@@ -385,14 +346,7 @@ impl Cli {
     /// Runs a grid, reporting an invalid configuration (e.g. a degenerate
     /// `--topologies` entry) as a clean CLI error instead of a panic.
     pub fn run_grid(&self, grid: ExperimentGrid) -> GridReport {
-        self.run_grid_with_perf(grid).0
-    }
-
-    /// Like [`Cli::run_grid`], but also returns the host-side counters
-    /// summed over the simulated cells, so binaries can print a
-    /// parallel-frontier summary next to the report table.
-    pub fn run_grid_with_perf(&self, grid: ExperimentGrid) -> (GridReport, tss::HostPerf) {
-        grid.run_with_perf().unwrap_or_else(|e| {
+        grid.run().unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         })
@@ -597,27 +551,11 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_parses_and_stays_local() {
-        let cli = Cli::parse_from(&[]).unwrap();
-        assert_eq!(cli.threads, 0);
-
-        let cli = Cli::parse_from(&args(&["--threads", "4"])).unwrap();
-        assert_eq!(cli.threads, 4);
-
-        assert!(Cli::parse_from(&args(&["--threads", "-2"])).is_err());
-        assert!(Cli::parse_from(&args(&["--threads", "many"])).is_err());
-
-        // The server does its own threading; a local-only knob is rejected.
-        let err =
-            Cli::parse_from(&args(&["--remote", "http://h:1", "--threads", "4"])).unwrap_err();
-        assert!(err.contains("--threads"), "{err}");
-        // 0 and 1 both mean serial — the server's behaviour anyway.
-        assert!(Cli::parse_from(&args(&["--remote", "http://h:1", "--threads", "1"])).is_ok());
-    }
-
-    #[test]
     fn bad_inputs_are_rejected() {
         assert!(Cli::parse_from(&args(&["--scale", "0"])).is_err());
+        // Every cell runs on one thread; there is no `--threads`.
+        let err = Cli::parse_from(&args(&["--threads", "4"])).unwrap_err();
+        assert!(err.contains("unknown option"), "{err}");
         assert!(Cli::parse_from(&args(&["--scale", "-1"])).is_err());
         assert!(Cli::parse_from(&args(&["--seeds", "0"])).is_err());
         assert!(Cli::parse_from(&args(&["--protocols", "mesi"])).is_err());

@@ -76,10 +76,10 @@
 use std::sync::Arc;
 
 use tss_net::{
-    DetailedNetConfig, Fabric, FastOrderedNet, MultiPlaneNet, NodeId, OrderedNetTiming, ParStats,
+    DetailedNetConfig, Fabric, FastOrderedNet, MultiPlaneNet, NodeId, OrderedNetTiming,
     TrafficLedger,
 };
-use tss_sim::{FrontierPool, Gt, Time};
+use tss_sim::{Gt, Time};
 
 use crate::config::{NetworkModelSpec, Timing};
 
@@ -130,13 +130,6 @@ pub trait AddressNet<P>: Send {
     /// instrumentation; the fast model has no waves to skip).
     fn waves_skipped(&self) -> u64 {
         0
-    }
-
-    /// Counters of the conservative parallel event loop (detailed model
-    /// with `threads >= 2`; all zero elsewhere). Host-side
-    /// instrumentation only — never part of the simulated state.
-    fn parallel_stats(&self) -> ParStats {
-        ParStats::default()
     }
 }
 
@@ -214,20 +207,6 @@ impl<P> DetailedAddressNet<P> {
         }
     }
 
-    /// Attaches a frontier pool of `threads` workers to every plane, so
-    /// large simulated instants run partitioned across threads (with
-    /// byte-identical results — see `tss_net::DetailedNet::set_pool`).
-    /// `threads < 2` is a no-op: one worker cannot beat the serial path.
-    pub fn parallelize(&mut self, threads: usize) -> &mut Self
-    where
-        P: Send + Sync + 'static,
-    {
-        if threads >= 2 {
-            self.net.set_pool(&Arc::new(FrontierPool::new(threads)));
-        }
-        self
-    }
-
     fn check_buffers(&self) {
         let high = self.net.switch_buffer_high_water();
         assert!(
@@ -282,10 +261,6 @@ impl<P: Send + Sync + 'static> AddressNet<P> for DetailedAddressNet<P> {
     fn waves_skipped(&self) -> u64 {
         self.net.waves_skipped()
     }
-
-    fn parallel_stats(&self) -> ParStats {
-        self.net.parallel_stats()
-    }
 }
 
 /// Builds the address-network model a [`NetworkModelSpec`] describes,
@@ -297,17 +272,15 @@ impl<P: Send + Sync + 'static> AddressNet<P> for DetailedAddressNet<P> {
 /// runs, near the era rollover in wraparound stress runs (which must be
 /// observationally identical — every GT comparison is wrapping-safe).
 ///
-/// `threads >= 2` attaches a frontier pool to the detailed model so its
-/// large simulated instants run partitioned across that many workers (a
-/// host-side knob: results are byte-identical at every value, which is
-/// why it never enters the cell identity). The fast model has no event
-/// loop to parallelize and ignores it.
+/// `_threads` is ignored: both models run on the caller's thread. The
+/// benchmark package's mirror of `System::run` still passes it; remove
+/// the parameter together with that call.
 pub fn build_address_net<P: Send + Sync + 'static>(
     spec: NetworkModelSpec,
     timing: &Timing,
     fabric: Arc<Fabric>,
     gt_origin: Gt,
-    threads: usize,
+    _threads: usize,
 ) -> Box<dyn AddressNet<P>> {
     match spec {
         NetworkModelSpec::Fast => Box::new(FastAddressNet::new(
@@ -326,21 +299,17 @@ pub fn build_address_net<P: Send + Sync + 'static>(
             link_occupancy,
             initial_slack,
             buffer_depth,
-        } => {
-            let mut net = DetailedAddressNet::new(
-                fabric,
-                DetailedNetConfig {
-                    link_latency: timing.d_switch,
-                    link_occupancy,
-                    initial_slack,
-                    plane: 0, // MultiPlaneNet drives every plane itself
-                    gt_origin,
-                },
-                buffer_depth,
-            );
-            net.parallelize(threads);
-            Box::new(net)
-        }
+        } => Box::new(DetailedAddressNet::new(
+            fabric,
+            DetailedNetConfig {
+                link_latency: timing.d_switch,
+                link_occupancy,
+                initial_slack,
+                plane: 0, // MultiPlaneNet drives every plane itself
+                gt_origin,
+            },
+            buffer_depth,
+        )),
     }
 }
 
@@ -462,47 +431,5 @@ mod tests {
         );
         detailed.inject(Time::from_ns(0), NodeId(0), 1);
         assert!(detailed.next_ready().is_some());
-    }
-
-    #[test]
-    fn parallel_detailed_adapter_matches_serial_deliveries() {
-        let run = |threads: usize| {
-            let fabric = Arc::new(Fabric::torus4x4());
-            let mut net: DetailedAddressNet<u32> = DetailedAddressNet::new(
-                fabric,
-                DetailedNetConfig {
-                    link_occupancy: Duration::from_ns(40),
-                    ..DetailedNetConfig::default()
-                },
-                64,
-            );
-            net.parallelize(threads);
-            for i in 0..12 {
-                net.inject(Time::from_ns(40 + i), NodeId((i % 16) as u16), i as u32);
-            }
-            let log: Vec<(u16, u16, u64, u64, u32)> = poll_all(&mut net, 12 * 16)
-                .iter()
-                .map(|d| {
-                    (
-                        d.dest.0,
-                        d.src.0,
-                        d.arrival.as_ns(),
-                        d.ordered_at.as_ns(),
-                        *d.payload,
-                    )
-                })
-                .collect();
-            (log, net.parallel_stats())
-        };
-        let (serial, s0) = run(0);
-        assert_eq!(s0, ParStats::default(), "no pool means zeroed counters");
-        for threads in [2, 4] {
-            let (par, ps) = run(threads);
-            assert_eq!(par, serial, "diverged at {threads} threads");
-            assert_eq!(ps.threads, threads as u64);
-            assert!(ps.instants > 0, "frontier path never engaged");
-            assert!(ps.epochs > 0, "instants must arrive in dispatch epochs");
-            assert!(ps.epochs <= ps.instants);
-        }
     }
 }

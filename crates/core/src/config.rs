@@ -657,13 +657,10 @@ pub struct SystemConfig {
     /// the manual [`serde::Serialize`] impl below excludes it and cell
     /// keys stay unchanged.
     pub gt_origin: u64,
-    /// Worker threads for the conservative parallel event loop inside the
-    /// detailed address network; `0` (or `1`) runs serially.
-    ///
-    /// Like `gt_origin`, a *harness* knob excluded from the serialized
-    /// identity: a parallel run is byte-identical to the serial run (the
-    /// CI thread matrix compares them), so the thread count must never
-    /// split cell keys.
+    /// Ignored: every simulation runs its event loop on one thread. The
+    /// benchmark package's mirror of `System::run` still reads it; remove
+    /// the field together with that read. Excluded from the serialized
+    /// identity like `gt_origin`.
     pub threads: usize,
 }
 

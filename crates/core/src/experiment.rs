@@ -44,9 +44,9 @@ use crate::cellstore::CellStore;
 use crate::config::{
     ConfigError, NetworkModelSpec, ProtocolKind, SystemConfig, Timing, TopologyKind,
 };
-use crate::methodology::min_over_perturbations_with_perf;
+use crate::methodology::min_over_perturbations;
 use crate::scheduler::WorkStealScheduler;
-use crate::system::{HostPerf, SystemStats};
+use crate::system::SystemStats;
 
 /// Version stamp of the [`GridReport`] JSON schema. Bump when a field is
 /// renamed, removed, or changes meaning; additions are backward-safe for
@@ -785,7 +785,6 @@ pub struct ExperimentGrid {
     resume: Option<PathBuf>,
     shard: ShardSpec,
     gt_origin: u64,
-    cell_threads: usize,
 }
 
 impl ExperimentGrid {
@@ -809,7 +808,6 @@ impl ExperimentGrid {
             resume: None,
             shard: ShardSpec::FULL,
             gt_origin: 0,
-            cell_threads: 0,
         }
     }
 
@@ -909,19 +907,6 @@ impl ExperimentGrid {
         self
     }
 
-    /// Runs each cell's detailed address network on `threads` frontier
-    /// workers (0/1 = serial). Like [`ExperimentGrid::gt_origin`], a
-    /// harness knob excluded from [`CellKey`]: parallel cells are
-    /// byte-identical to serial ones (asserted by the determinism
-    /// battery and the CI thread matrix), so cached cells stay valid
-    /// across thread counts. Distinct from [`ExperimentGrid::threads`],
-    /// which fans *cells* out across grid workers; this knob parallelizes
-    /// *inside* one cell — the only way to speed up a single huge cell.
-    pub fn cell_threads(mut self, threads: usize) -> Self {
-        self.cell_threads = threads;
-        self
-    }
-
     /// Number of cells this grid will run.
     pub fn cell_count(&self) -> usize {
         self.workloads.len()
@@ -985,7 +970,7 @@ impl ExperimentGrid {
                                 verify: self.verify,
                                 record_observations: false,
                                 gt_origin: self.gt_origin,
-                                threads: self.cell_threads,
+                                threads: 0,
                             };
                             // Fail fast on any invalid cell, including the
                             // cells other shards would run.
@@ -1028,14 +1013,6 @@ impl ExperimentGrid {
     /// and reports. Equivalent to [`ExperimentGrid::plan`] +
     /// [`GridPlan::execute`] + [`GridPlan::report`].
     pub fn run(self) -> Result<GridReport, ConfigError> {
-        self.run_with_perf().map(|(report, _)| report)
-    }
-
-    /// Like [`ExperimentGrid::run`], but also returns the host-side
-    /// counters accumulated over every simulated (non-cached) cell, so
-    /// callers can surface whether the parallel frontier engaged. The
-    /// counters never enter the report bytes.
-    pub fn run_with_perf(self) -> Result<(GridReport, HostPerf), ConfigError> {
         let store = match &self.resume {
             None => None,
             Some(dir) => Some(CellStore::open(dir).map_err(|e| ConfigError::BadResumeDir {
@@ -1044,8 +1021,8 @@ impl ExperimentGrid {
             })?),
         };
         let plan = self.plan()?;
-        let (cells, perf) = plan.execute_with_perf(store.as_ref(), self.threads);
-        Ok((plan.report(cells), perf))
+        let cells = plan.execute(store.as_ref(), self.threads);
+        Ok(plan.report(cells))
     }
 }
 
@@ -1105,18 +1082,6 @@ impl GridPlan {
     /// each result lands in its cell's slot, so the output (and therefore
     /// the report bytes) is deterministic.
     pub fn execute(&self, store: Option<&CellStore>, threads: usize) -> Vec<RunReport> {
-        self.execute_with_perf(store, threads).0
-    }
-
-    /// Like [`GridPlan::execute`], but also returns the [`HostPerf`]
-    /// counters summed over every cell that actually simulated (cached
-    /// cells contribute nothing — no host work happened). The sum is
-    /// order-independent, so work stealing cannot perturb it.
-    pub fn execute_with_perf(
-        &self,
-        store: Option<&CellStore>,
-        threads: usize,
-    ) -> (Vec<RunReport>, HostPerf) {
         let workers = if threads > 0 {
             threads
         } else {
@@ -1129,18 +1094,13 @@ impl GridPlan {
         sched.submit_batch(0..self.cells.len());
         sched.close();
         let slots: Mutex<Vec<Option<RunReport>>> = Mutex::new(vec![None; self.cells.len()]);
-        let perf: Mutex<HostPerf> = Mutex::new(HostPerf::default());
 
         std::thread::scope(|scope| {
             for w in 0..workers {
-                let (sched, slots, perf) = (&sched, &slots, &perf);
+                let (sched, slots) = (&sched, &slots);
                 scope.spawn(move || {
                     while let Some(i) = sched.next(w) {
-                        let (report, cell_perf) =
-                            run_or_load_cell_with_perf(store, &self.cells[i]);
-                        perf.lock()
-                            .expect("no worker panicked holding the lock")
-                            .absorb(&cell_perf);
+                        let report = run_or_load_cell(store, &self.cells[i]);
                         slots.lock().expect("no worker panicked holding the lock")[i] =
                             Some(report);
                     }
@@ -1148,13 +1108,12 @@ impl GridPlan {
             }
         });
 
-        let reports = slots
+        slots
             .into_inner()
             .expect("workers joined")
             .into_iter()
             .map(|c| c.expect("every cell ran"))
-            .collect();
-        (reports, perf.into_inner().expect("workers joined"))
+            .collect()
     }
 
     /// Assembles the [`GridReport`] for this plan from its cells' reports,
@@ -1187,16 +1146,6 @@ impl GridPlan {
 /// otherwise. This is the unit of work both the local grid runner and the
 /// sweep server schedule.
 pub fn run_or_load_cell(store: Option<&CellStore>, plan: &CellPlan) -> RunReport {
-    run_or_load_cell_with_perf(store, plan).0
-}
-
-/// Like [`run_or_load_cell`], but also returns the host-side counters of
-/// the simulation (default/zero for cells served from the store — no
-/// host work happened, which is exactly what the counters measure).
-pub fn run_or_load_cell_with_perf(
-    store: Option<&CellStore>,
-    plan: &CellPlan,
-) -> (RunReport, HostPerf) {
     let (key, cfg, spec, runs) = (plan.key, &plan.cfg, &plan.spec, plan.runs);
     if let Some(store) = store {
         if let Some(mut cell) = store.load(key) {
@@ -1213,11 +1162,11 @@ pub fn run_or_load_cell_with_perf(
             {
                 cell.cell_key = Some(key);
                 cell.cached = true;
-                return (cell, HostPerf::default());
+                return cell;
             }
         }
     }
-    let (stats, perf) = min_over_perturbations_with_perf(cfg, spec, runs);
+    let stats = min_over_perturbations(cfg, spec, runs);
     let mut report = RunReport::from_stats(spec.name.clone(), cfg, runs, stats);
     report.cell_key = Some(key);
     if let Some(store) = store {
@@ -1225,7 +1174,7 @@ pub fn run_or_load_cell_with_perf(
         // kill a sweep that can still finish in memory.
         let _ = store.store(key, &report);
     }
-    (report, perf)
+    report
 }
 
 #[cfg(test)]
@@ -1336,8 +1285,8 @@ mod tests {
         );
 
         // ...and the harness knobs that cannot are canonicalised out:
-        // a parallel (or gt-shifted) run is byte-identical to the serial
-        // origin-0 run, so cached cells must stay valid across them.
+        // a gt-shifted run is byte-identical to the origin-0 run and
+        // `threads` is ignored, so cached cells must stay valid across them.
         let mut same = cfg.clone();
         same.verify = true;
         same.record_observations = true;

@@ -75,8 +75,7 @@ pub mod experiment;
 pub mod methodology;
 mod system;
 
-/// The work-stealing scheduler now lives in `tss_sim` (the in-cell
-/// frontier pool needs it below this crate); re-exported here so
+/// The work-stealing scheduler lives in `tss_sim`; re-exported here so
 /// `tss::scheduler::*` paths keep working.
 pub use tss_sim::scheduler;
 

@@ -8,7 +8,7 @@
 use tss_workloads::WorkloadSpec;
 
 use crate::config::SystemConfig;
-use crate::system::{HostPerf, System, SystemStats};
+use crate::system::{System, SystemStats};
 
 /// Runs `spec` once per perturbation seed and returns the stats of the
 /// minimum-runtime run, as the paper reports.
@@ -22,20 +22,8 @@ use crate::system::{HostPerf, System, SystemStats};
 ///
 /// Panics if `seeds == 0`.
 pub fn min_over_perturbations(cfg: &SystemConfig, spec: &WorkloadSpec, seeds: u64) -> SystemStats {
-    min_over_perturbations_with_perf(cfg, spec, seeds).0
-}
-
-/// Like [`min_over_perturbations`], but also returns the host-side
-/// counters accumulated over *all* runs in the set (the stats are from
-/// the minimum-runtime run only; host work happened in every run).
-pub fn min_over_perturbations_with_perf(
-    cfg: &SystemConfig,
-    spec: &WorkloadSpec,
-    seeds: u64,
-) -> (SystemStats, HostPerf) {
     assert!(seeds > 0, "need at least one run");
     let mut best: Option<SystemStats> = None;
-    let mut perf = HostPerf::default();
     for s in 0..seeds {
         let mut c = cfg.clone();
         // §4.3: the runs in a set differ ONLY in their response jitter.
@@ -47,7 +35,6 @@ pub fn min_over_perturbations_with_perf(
             break;
         }
         let result = System::run_workload(c, spec);
-        perf.absorb(&result.perf);
         let better = match &best {
             None => true,
             Some(b) => result.stats.runtime < b.runtime,
@@ -56,7 +43,7 @@ pub fn min_over_perturbations_with_perf(
             best = Some(result.stats);
         }
     }
-    (best.expect("at least one run happened"), perf)
+    best.expect("at least one run happened")
 }
 
 #[cfg(test)]

@@ -117,46 +117,13 @@ pub struct RunResult {
 
 /// Host-side (wall-clock-world) counters the `perf` bench bin reports:
 /// how much work the simulator avoided, not what the target measured.
-/// (The raw event count already lives in the serialized
+/// (The raw event count lives in the serialized
 /// [`SystemStats::events_processed`].)
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HostPerf {
-    /// Total simulator events this run processed — a convenience mirror
-    /// of [`SystemStats::events_processed`] on the host-side counter
-    /// block, so perf tooling (and tests asserting that cached grid
-    /// cells were *not* re-executed) can read everything from one place.
-    pub events: u64,
-    /// Event-loop iterations whose action buffer was served from the
-    /// retained scratch allocation (i.e. heap allocations avoided by
-    /// reusing one `Vec<ProtoAction>` across dispatches).
-    pub action_allocs_avoided: u64,
     /// Idle token waves the detailed address network skipped in closed
     /// form instead of simulating (0 under the fast model).
     pub waves_skipped: u64,
-    /// Simulated instants the detailed address network executed on the
-    /// parallel frontier pool (0 when serial or under the fast model).
-    pub parallel_instants: u64,
-    /// Events processed inside those parallel instants.
-    pub parallel_events: u64,
-    /// Pool dispatches those instants were batched into; `epochs <
-    /// instants` means slack-horizon windows amortized dispatch cost.
-    pub parallel_epochs: u64,
-    /// Frontier-pool worker threads attached (0 when serial).
-    pub parallel_threads: u64,
-}
-
-impl HostPerf {
-    /// Accumulates another run's counters (threads keeps the max — it is
-    /// a configuration echo, not additive work).
-    pub fn absorb(&mut self, other: &HostPerf) {
-        self.events += other.events;
-        self.action_allocs_avoided += other.action_allocs_avoided;
-        self.waves_skipped += other.waves_skipped;
-        self.parallel_instants += other.parallel_instants;
-        self.parallel_events += other.parallel_events;
-        self.parallel_epochs += other.parallel_epochs;
-        self.parallel_threads = self.parallel_threads.max(other.parallel_threads);
-    }
 }
 
 #[derive(Debug)]
@@ -328,7 +295,7 @@ impl System {
                 &cfg.timing,
                 Arc::clone(&fabric),
                 tss_sim::Gt::from_raw(cfg.gt_origin),
-                cfg.threads,
+                0,
             )
         });
 
@@ -395,13 +362,9 @@ impl System {
         // scratch space instead of allocating per event.
         let mut actions: Vec<ProtoAction> = Vec::new();
         let mut snoops: Vec<crate::address_net::AddrDelivery<AddrTxn>> = Vec::new();
-        let mut allocs_avoided = 0u64;
 
         while let Some((now, ev)) = self.events.pop() {
             debug_assert!(actions.is_empty());
-            if actions.capacity() > 0 {
-                allocs_avoided += 1;
-            }
             match ev {
                 Ev::Issue { cpu, op } => {
                     self.touched.insert(op.block());
@@ -480,23 +443,11 @@ impl System {
             miss_latency_per_node: self.miss_latency_per_node,
             events_processed: self.events.events_processed(),
         };
-        let events = stats.events_processed;
-        let par = self
-            .addr
-            .as_ref()
-            .map(|a| a.parallel_stats())
-            .unwrap_or_default();
         RunResult {
             stats,
             observations: self.observations,
             perf: HostPerf {
-                events,
-                action_allocs_avoided: allocs_avoided,
                 waves_skipped: self.addr.as_ref().map_or(0, |a| a.waves_skipped()),
-                parallel_instants: par.instants,
-                parallel_events: par.events,
-                parallel_epochs: par.epochs,
-                parallel_threads: par.threads,
             },
         }
     }
@@ -769,9 +720,8 @@ mod tests {
     }
 
     /// `GridReport` bytes are pinned across PRs, so [`SystemStats`] must
-    /// keep exactly its historical field set — host-side counters (the
-    /// parallel frontier ones in particular) belong in [`HostPerf`],
-    /// which is never serialized.
+    /// keep exactly its historical field set — host-side counters belong
+    /// in [`HostPerf`], which is never serialized.
     #[test]
     fn parallel_counters_stay_out_of_serialized_stats() {
         let r = System::run_traces(

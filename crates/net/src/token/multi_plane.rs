@@ -18,14 +18,13 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use tss_sim::pool::FrontierPool;
 use tss_sim::{Gt, GtKey, Time};
 
 use crate::ids::NodeId;
 use crate::topology::Fabric;
 use crate::traffic::{MsgClass, TrafficLedger};
 
-use super::net::{DetailedDelivery, DetailedNet, DetailedNetConfig, ParStats};
+use super::net::{DetailedDelivery, DetailedNet, DetailedNetConfig};
 
 #[derive(Debug)]
 struct MergeEntry<P> {
@@ -115,28 +114,6 @@ impl<P> MultiPlaneNet<P> {
         }
     }
 
-    /// Counters of the parallel frontier path, aggregated over planes
-    /// (instants and events sum; the thread count is the max attached).
-    pub fn parallel_stats(&self) -> ParStats {
-        let mut agg = ParStats::default();
-        for p in &self.planes {
-            agg.absorb(&p.parallel_stats());
-        }
-        agg
-    }
-}
-
-impl<P: Send + Sync + 'static> MultiPlaneNet<P> {
-    /// Attaches one frontier pool to every plane (see
-    /// [`DetailedNet::set_pool`]); planes still run sequentially relative
-    /// to each other, but each plane's large instants fan out over the
-    /// pool.
-    pub fn set_pool(&mut self, pool: &Arc<FrontierPool>) {
-        for p in &mut self.planes {
-            p.set_pool(Arc::clone(pool));
-        }
-    }
-
     /// Broadcasts `payload` from `src` on the next plane in round-robin
     /// order; returns `(plane, ordering time)`.
     pub fn inject(&mut self, now: Time, src: NodeId, payload: P) -> (usize, Gt) {
@@ -175,36 +152,6 @@ impl<P: Send + Sync + 'static> MultiPlaneNet<P> {
                 p.fast_forward_idle(t);
             }
         }
-        if self.planes.len() == 1 {
-            // Single-plane shortcut: with one plane the min-GT frontier
-            // *is* that plane's own endpoint GT, and the release
-            // condition (`key.gt() < gt_min`) is exactly the condition
-            // the plane's own reorder drain already enforced — so every
-            // delivery's gate opens at its `processed_at`, and the heap
-            // drains completely at every collect. The plane can
-            // therefore run the whole span in one call (which is what
-            // lets its epoch batching see multi-horizon windows), with
-            // the per-horizon merge replayed afterwards from the
-            // `processed_at` groups — byte-identical to horizon-by-
-            // horizon stepping, including stamps and per-instant
-            // (node, key) release order.
-            self.planes[0].run_until(t);
-            let mut it = self.planes[0].take_deliveries().into_iter().peekable();
-            while let Some(d) = it.next() {
-                let at = d.processed_at;
-                self.push_merge(0, d);
-                while it.peek().is_some_and(|n| n.processed_at == at) {
-                    let d = it.next().expect("peeked");
-                    self.push_merge(0, d);
-                }
-                self.release_frontier(at);
-                debug_assert!(
-                    self.merge_pending == 0,
-                    "single-plane release held a delivery past its gate"
-                );
-            }
-            return;
-        }
         while let Some(next) = self
             .planes
             .iter()
@@ -222,9 +169,7 @@ impl<P: Send + Sync + 'static> MultiPlaneNet<P> {
             p.run_until(t);
         }
     }
-}
 
-impl<P> MultiPlaneNet<P> {
     /// Pushes one plane delivery into its endpoint's merge heap.
     fn push_merge(&mut self, plane: usize, d: DetailedDelivery<P>) {
         // Per-source sequence numbers are per-plane; recover a

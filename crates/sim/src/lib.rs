@@ -13,12 +13,9 @@
 //!   the perturbation methodology of the paper (§4.3),
 //! * [`stats`] — counters and histograms used for the paper's tables/figures.
 //!
-//! The event loop itself stays deterministic whether it runs serially or
-//! in parallel: the paper's evaluation models *logical* concurrency (16+
-//! processors, dozens of switches), and the conservative-PDES machinery
-//! here — [`scheduler`] for work distribution, [`pool`] for the
-//! per-instant frontier pool — is built so a parallel run reproduces the
-//! sequential event order bit for bit.
+//! Host parallelism lives one level up: [`scheduler`] distributes whole,
+//! independent simulations (grid cells) across worker threads, while each
+//! simulation runs its event loop on one thread.
 //!
 //! # Example
 //!
@@ -36,14 +33,12 @@
 #![warn(missing_docs)]
 
 pub mod hash;
-pub mod pool;
 mod queue;
 pub mod rng;
 pub mod scheduler;
 pub mod stats;
 mod time;
 
-pub use pool::FrontierPool;
 pub use queue::EventQueue;
 pub use scheduler::{SchedulerStats, WorkStealScheduler};
 pub use time::{Duration, Gt, GtKey, Time};

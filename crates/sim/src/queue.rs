@@ -52,7 +52,6 @@ const SPAN: usize = 1024;
 /// q.schedule(Time::from_ns(3), 'a');
 /// assert_eq!(q.len(), 3);
 /// assert_eq!(q.peek_time(), Some(Time::from_ns(3)));
-/// assert_eq!(q.peek_at(), Some((Time::from_ns(3), &'a')));
 /// let drained: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
 /// assert_eq!(drained, vec!['a', 'b', 'c']);
 /// ```
@@ -154,36 +153,6 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is earlier than the current simulation time: an event
     /// handler may only schedule into the present or future.
     pub fn schedule(&mut self, at: Time, event: E) {
-        match self.window_index(at) {
-            Some(i) => {
-                if self.ring_len == 0 || i < self.cursor {
-                    self.cursor = i;
-                }
-                self.ring[i].push_back(event);
-                self.occupied[i / 64] |= 1 << (i % 64);
-                self.ring_len += 1;
-            }
-            None => {
-                // `seq` orders overflow entries among themselves; ring
-                // buckets are FIFO by construction and don't need it.
-                self.seq += 1;
-                self.overflow.push(Reverse(Overflow {
-                    key: GtKey::new(ord(at), self.seq),
-                    event,
-                }));
-            }
-        }
-        if self.next_at.is_none_or(|n| ord(at) < ord(n)) {
-            self.next_at = Some(at);
-        }
-    }
-
-    /// Validates `at`, re-anchors an exhausted window, and returns the
-    /// ring index for `at` — or `None` when it belongs in the overflow
-    /// heap. The one place the window invariants live, shared by
-    /// [`EventQueue::schedule`] and [`EventQueue::schedule_batch`].
-    #[inline]
-    fn window_index(&mut self, at: Time) -> Option<usize> {
         assert!(
             ord(at) >= ord(self.now),
             "event scheduled in the past ({at:?} < now {:?})",
@@ -201,46 +170,24 @@ impl<E> EventQueue<E> {
         }
         let offset = t.wrapping_sub(self.base);
         if offset < SPAN as u64 {
-            Some(offset as usize)
+            let i = offset as usize;
+            if self.ring_len == 0 || i < self.cursor {
+                self.cursor = i;
+            }
+            self.ring[i].push_back(event);
+            self.occupied[i / 64] |= 1 << (i % 64);
+            self.ring_len += 1;
         } else {
-            None
+            // `seq` orders overflow entries among themselves; ring
+            // buckets are FIFO by construction and don't need it.
+            self.seq += 1;
+            self.overflow.push(Reverse(Overflow {
+                key: GtKey::new(ord(at), self.seq),
+                event,
+            }));
         }
-    }
-
-    /// Schedules a batch of events for one shared instant, amortising the
-    /// window checks and bookkeeping over the whole batch — the token
-    /// wave's emission pattern (every output link, same instant).
-    ///
-    /// Equivalent to calling [`EventQueue::schedule`] once per event, in
-    /// iterator order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current simulation time.
-    pub fn schedule_batch(&mut self, at: Time, events: impl IntoIterator<Item = E>) {
-        match self.window_index(at) {
-            Some(i) => {
-                let bucket = &mut self.ring[i];
-                let before = bucket.len();
-                bucket.extend(events);
-                let added = bucket.len() - before;
-                if added == 0 {
-                    return;
-                }
-                if self.ring_len == 0 || i < self.cursor {
-                    self.cursor = i;
-                }
-                self.occupied[i / 64] |= 1 << (i % 64);
-                self.ring_len += added;
-                if self.next_at.is_none_or(|n| ord(at) < ord(n)) {
-                    self.next_at = Some(at);
-                }
-            }
-            None => {
-                for event in events {
-                    self.schedule(at, event);
-                }
-            }
+        if self.next_at.is_none_or(|n| ord(at) < ord(n)) {
+            self.next_at = Some(at);
         }
     }
 
@@ -273,109 +220,9 @@ impl<E> EventQueue<E> {
         Some((at, event))
     }
 
-    /// Removes **every** event pending at the earliest instant, appending
-    /// them to `out` in FIFO order, and advances the clock to that
-    /// instant. Returns the instant, or `None` (touching nothing) when
-    /// the calendar is empty.
-    ///
-    /// This is the frontier primitive of the parallel event loop: one
-    /// simulated instant is popped wholesale, its events are processed
-    /// concurrently, and their emissions are re-scheduled afterwards —
-    /// which is only equivalent to [`EventQueue::pop`]-per-event when no
-    /// handler schedules *at* the popped instant (the detailed network
-    /// guarantees that: every emission is at least one link latency or
-    /// occupancy period in the future).
-    ///
-    /// Equivalent to calling `pop` while `peek_time()` returns the same
-    /// instant.
-    pub fn pop_head_instant_into(&mut self, out: &mut Vec<E>) -> Option<Time> {
-        let at = self.next_at?;
-        if self.ring_len == 0 {
-            // Only overflow events remain; their minimum is `at`, and the
-            // rebase migrates every entry at that instant (the window
-            // invariant keeps later same-instant stragglers impossible).
-            self.rebase(at.as_ns());
-        }
-        debug_assert!(!self.ring[self.cursor].is_empty(), "cursor points at min");
-        let n = {
-            let bucket = &mut self.ring[self.cursor];
-            let n = bucket.len();
-            out.extend(bucket.drain(..));
-            n
-        };
-        self.ring_len -= n;
-        self.now = at;
-        self.popped += n as u64;
-        self.occupied[self.cursor / 64] &= !(1 << (self.cursor % 64));
-        self.settle();
-        Some(at)
-    }
-
-    /// Removes every event pending at every instant up to and including
-    /// `limit` (in the queue's wrapping order), appending them to `out`
-    /// instant by instant in FIFO order and recording one `(instant,
-    /// event count)` pair per drained instant in `spans`. Advances the
-    /// clock to the last drained instant. Returns the number of instants
-    /// drained (0 — touching nothing — when the head is past `limit` or
-    /// the calendar is empty).
-    ///
-    /// This is the epoch primitive of the parallel event loop: a *window*
-    /// of consecutive instants whose total span is below the caller's
-    /// lookahead bound is popped wholesale and dispatched as one epoch.
-    /// Each instant is drained with [`EventQueue::pop_head_instant_into`],
-    /// so per-instant FIFO order — and therefore every downstream
-    /// sequence number — is exactly what repeated head pops would yield.
-    pub fn pop_window_into(
-        &mut self,
-        limit: Time,
-        out: &mut Vec<E>,
-        spans: &mut Vec<(Time, u32)>,
-    ) -> usize {
-        let mut drained = 0;
-        while let Some(at) = self.next_at {
-            if ord(at) > ord(limit) {
-                break;
-            }
-            let before = out.len();
-            self.pop_head_instant_into(out);
-            spans.push((at, (out.len() - before) as u32));
-            drained += 1;
-        }
-        drained
-    }
-
-    /// The number of ring-window events scheduled in `[now, limit]` — the
-    /// population a dispatch heuristic sees before committing to
-    /// [`EventQueue::pop_window_into`]. Deliberately a *lower bound*:
-    /// overflow-heap events (beyond the 1024 ns ring, far past any
-    /// realistic lookahead) are not counted, so a caller using this to
-    /// gate parallel dispatch errs toward the serial path, never toward
-    /// an oversized claim.
-    pub fn events_in_window(&self, limit: Time) -> usize {
-        if self.ring_len == 0 {
-            return 0;
-        }
-        let lim = limit.as_ns().wrapping_sub(self.base);
-        let hi = lim.min(SPAN as u64 - 1) as usize;
-        (self.cursor..=hi).map(|i| self.ring[i].len()).sum()
-    }
-
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
         self.next_at
-    }
-
-    /// The earliest pending event and its timestamp, without removing it
-    /// or advancing the clock — what a profiler or fast-forward check
-    /// needs to inspect the head of the calendar.
-    pub fn peek_at(&self) -> Option<(Time, &E)> {
-        if self.ring_len > 0 {
-            let t = Time::from_ns(self.base.wrapping_add(self.cursor as u64));
-            return self.ring[self.cursor].front().map(|e| (t, e));
-        }
-        self.overflow
-            .peek()
-            .map(|Reverse(o)| (Time::from_ns(o.at()), &o.event))
     }
 
     /// `Some(t)` when **every** pending event is scheduled for the single
@@ -570,10 +417,8 @@ mod tests {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-        assert_eq!(q.peek_at(), None);
         q.schedule(Time::from_ns(4), 'x');
         assert_eq!(q.peek_time(), Some(Time::from_ns(4)));
-        assert_eq!(q.peek_at(), Some((Time::from_ns(4), &'x')));
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((Time::from_ns(4), 'x')));
         assert!(q.is_empty());
@@ -594,9 +439,9 @@ mod tests {
         // Far beyond SPAN: exercises the overflow heap and rebase.
         q.schedule(Time::from_ns(1_000_000), 'z');
         q.schedule(Time::from_ns(3), 'a');
-        assert_eq!(q.peek_at(), Some((Time::from_ns(3), &'a')));
+        assert_eq!(q.peek_time(), Some(Time::from_ns(3)));
         assert_eq!(q.pop(), Some((Time::from_ns(3), 'a')));
-        assert_eq!(q.peek_at(), Some((Time::from_ns(1_000_000), &'z')));
+        assert_eq!(q.peek_time(), Some(Time::from_ns(1_000_000)));
         // A near event scheduled after the window emptied still comes first.
         q.schedule(Time::from_ns(40), 'b');
         assert_eq!(q.pop(), Some((Time::from_ns(40), 'b')));
@@ -700,159 +545,6 @@ mod tests {
         }
     }
 
-    /// `pop_head_instant_into` must equal a run of single pops sharing
-    /// the head timestamp — across ties, window buckets, the overflow
-    /// boundary, and interleaved rescheduling (seeded loops, repo
-    /// convention).
-    #[test]
-    fn pop_head_instant_matches_repeated_pops() {
-        for case in 0..30u64 {
-            let mut rng = SimRng::from_seed_and_stream(case, 0x1057);
-            let mut batch = EventQueue::new();
-            let mut single = EventQueue::new();
-            let mut now = 0u64;
-            let mut id = 0u32;
-            for _ in 0..200 {
-                for _ in 0..1 + rng.gen_range(0..5) {
-                    let delta = match rng.gen_range(0..8) {
-                        0 => 0, // same-instant tie
-                        1..=5 => rng.gen_range(0..100),
-                        _ => rng.gen_range(0..3 * SPAN as u64),
-                    };
-                    let at = Time::from_ns(now + delta);
-                    batch.schedule(at, id);
-                    single.schedule(at, id);
-                    id += 1;
-                }
-                if rng.gen_range(0..3) == 0 {
-                    let mut got = Vec::new();
-                    let t = batch.pop_head_instant_into(&mut got);
-                    let t = t.expect("events were just scheduled");
-                    let mut want = Vec::new();
-                    while single.peek_time() == Some(t) {
-                        want.push(single.pop().expect("peeked").1);
-                    }
-                    assert_eq!(got, want, "case {case}: instant batch diverged");
-                    assert_eq!(batch.now(), single.now());
-                    assert_eq!(batch.len(), single.len());
-                    assert_eq!(batch.events_processed(), single.events_processed());
-                    now = t.as_ns();
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pop_head_instant_on_empty_and_overflow_only_queues() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        let mut out = Vec::new();
-        assert_eq!(q.pop_head_instant_into(&mut out), None);
-        assert!(out.is_empty());
-        // Overflow-only head instant: the rebase path.
-        let far = Time::from_ns(SPAN as u64 * 5 + 7);
-        q.schedule(far, 1);
-        q.schedule(far, 2);
-        q.schedule(Time::from_ns(SPAN as u64 * 9), 3);
-        assert_eq!(q.pop_head_instant_into(&mut out), Some(far));
-        assert_eq!(out, vec![1, 2], "FIFO across the overflow migration");
-        assert_eq!(q.now(), far);
-        assert_eq!(q.len(), 1);
-    }
-
-    /// `pop_window_into` must equal a run of `pop_head_instant_into`
-    /// calls while the head stays at or below the limit — across ties,
-    /// random window widths, and the overflow boundary (seeded loops,
-    /// repo convention).
-    #[test]
-    fn pop_window_matches_repeated_head_pops() {
-        for case in 0..30u64 {
-            let mut rng = SimRng::from_seed_and_stream(case, 0x9A7C);
-            let mut window = EventQueue::new();
-            let mut single = EventQueue::new();
-            let mut now = 0u64;
-            let mut id = 0u32;
-            for _ in 0..120 {
-                for _ in 0..1 + rng.gen_range(0..6) {
-                    let delta = match rng.gen_range(0..8) {
-                        0 => 0, // same-instant tie
-                        1..=5 => rng.gen_range(0..40),
-                        _ => rng.gen_range(0..3 * SPAN as u64),
-                    };
-                    let at = Time::from_ns(now + delta);
-                    window.schedule(at, id);
-                    single.schedule(at, id);
-                    id += 1;
-                }
-                if rng.gen_range(0..3) == 0 {
-                    let Some(head) = window.peek_time() else {
-                        continue;
-                    };
-                    let limit = Time::from_ns(head.as_ns() + rng.gen_range(0..30));
-                    let (mut got, mut spans) = (Vec::new(), Vec::new());
-                    let drained = window.pop_window_into(limit, &mut got, &mut spans);
-                    assert_eq!(drained, spans.len(), "case {case}: one span per instant");
-                    let mut want = Vec::new();
-                    let mut want_spans = Vec::new();
-                    while single
-                        .peek_time()
-                        .is_some_and(|t| ord(t) <= ord(limit))
-                    {
-                        let before = want.len();
-                        let t = single.pop_head_instant_into(&mut want).expect("peeked");
-                        want_spans.push((t, (want.len() - before) as u32));
-                    }
-                    assert_eq!(got, want, "case {case}: window events diverged");
-                    assert_eq!(spans, want_spans, "case {case}: instant spans diverged");
-                    assert_eq!(window.now(), single.now());
-                    assert_eq!(window.len(), single.len());
-                    assert_eq!(window.events_processed(), single.events_processed());
-                    now = window.now().as_ns().max(now);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pop_window_on_empty_queue_and_past_limits() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        let (mut out, mut spans) = (Vec::new(), Vec::new());
-        assert_eq!(q.pop_window_into(Time::from_ns(100), &mut out, &mut spans), 0);
-        assert!(out.is_empty() && spans.is_empty());
-        q.schedule(Time::from_ns(50), 1);
-        // Limit before the head: nothing moves.
-        assert_eq!(q.pop_window_into(Time::from_ns(49), &mut out, &mut spans), 0);
-        assert_eq!(q.len(), 1);
-        // Overflow-only instants inside the limit migrate and drain too.
-        let far = Time::from_ns(SPAN as u64 * 5);
-        q.schedule(far, 2);
-        q.schedule(far, 3);
-        let n = q.pop_window_into(far, &mut out, &mut spans);
-        assert_eq!(n, 2);
-        assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(spans, vec![(Time::from_ns(50), 1), (far, 2)]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn events_in_window_counts_ring_population() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.events_in_window(Time::from_ns(1000)), 0);
-        q.schedule(Time::from_ns(10), 'a');
-        q.schedule(Time::from_ns(10), 'b');
-        q.schedule(Time::from_ns(14), 'c');
-        q.schedule(Time::from_ns(40), 'd');
-        assert_eq!(q.events_in_window(Time::from_ns(10)), 2);
-        assert_eq!(q.events_in_window(Time::from_ns(14)), 3);
-        assert_eq!(q.events_in_window(Time::from_ns(39)), 3);
-        assert_eq!(q.events_in_window(Time::from_ns(40)), 4);
-        // Overflow events are deliberately not counted (lower bound).
-        q.schedule(Time::from_ns(SPAN as u64 * 3), 'e');
-        assert_eq!(q.events_in_window(Time::from_ns(SPAN as u64 * 3)), 4);
-        let mut out = Vec::new();
-        while q.pop_head_instant_into(&mut out).is_some() {}
-        assert_eq!(q.events_in_window(Time::from_ns(u64::MAX)), 0);
-    }
-
     #[test]
     fn single_instant_and_head_events() {
         let mut q = EventQueue::new();
@@ -868,30 +560,6 @@ mod tests {
         q.pop();
         q.pop();
         assert_eq!(q.single_instant(), Some(Time::from_ns(45)));
-    }
-
-    #[test]
-    fn schedule_batch_matches_sequential_schedules() {
-        let mut batch = EventQueue::new();
-        let mut seq = EventQueue::new();
-        batch.schedule(Time::from_ns(5), 0);
-        seq.schedule(Time::from_ns(5), 0);
-        batch.schedule_batch(Time::from_ns(20), [1, 2, 3]);
-        for e in [1, 2, 3] {
-            seq.schedule(Time::from_ns(20), e);
-        }
-        // Far-future batch exercises the per-item overflow fallback.
-        batch.schedule_batch(Time::from_ns(900_000), [4, 5]);
-        for e in [4, 5] {
-            seq.schedule(Time::from_ns(900_000), e);
-        }
-        loop {
-            let (a, b) = (batch.pop(), seq.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

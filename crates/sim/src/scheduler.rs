@@ -1,5 +1,5 @@
-//! The work-stealing scheduler shared by grid runs, the `sweep-server`
-//! service, and the in-cell frontier pool ([`crate::pool`]).
+//! The work-stealing scheduler shared by grid runs and the `sweep-server`
+//! service.
 //!
 //! PR 5's parallel grid runner handed cells to workers through a single
 //! shared cursor — effectively static round-robin once the cell list was
@@ -29,8 +29,7 @@
 //! deterministic regardless of execution order) is the caller's business.
 //! That split lets the grid runner in the `tss` crate drive it with
 //! scoped borrowing threads while the server drives the same type from
-//! long-lived `Arc`-holding threads and the per-instant frontier pool
-//! feeds it boxed closures.
+//! long-lived `Arc`-holding threads.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};

@@ -7,13 +7,12 @@
 
 use std::sync::Arc;
 
-use tss::experiment::ExperimentGrid;
-use tss::{NetworkModelSpec, ProtocolKind, System, TopologyKind};
+use tss::{ProtocolKind, System, TopologyKind};
 use tss_net::{DetailedNet, DetailedNetConfig, Fabric, NodeId};
 use tss_proto::{Block, CpuOp};
 use tss_sim::rng::SimRng;
 use tss_sim::{Duration, Gt, Time};
-use tss_workloads::{paper, TraceItem};
+use tss_workloads::TraceItem;
 
 /// Any valid fabric: random butterflies and tori, capped to keep runs fast.
 fn random_fabric(rng: &mut SimRng) -> Fabric {
@@ -165,52 +164,6 @@ fn token_network_total_order() {
         for o in &orders[1..] {
             assert_eq!(o, &orders[0], "case {case}: endpoints disagree on order");
         }
-    }
-}
-
-/// Conservative parallel cells are unobservable at grid scale: a random
-/// small grid (random topology, link occupancy, jitter, seed, and — half
-/// the time — a guarantee-time origin just below the era rollover) run
-/// with a random cell-thread count reproduces the single-thread
-/// [`GridReport`](tss::experiment::GridReport) byte for byte. The
-/// per-partition version of this property (arbitrary vertex → partition
-/// maps) lives next to the engine in `tss-net`; this is the end-to-end
-/// face the paper's figures depend on.
-#[test]
-fn parallel_cells_reproduce_single_thread_grid_bytes() {
-    for case in 0..5u64 {
-        let mut rng = SimRng::from_seed_and_stream(case, 0x9A71);
-        let topology = [TopologyKind::Torus4x4, TopologyKind::Butterfly16][rng.index(2)];
-        let occupancy = [5u64, 12, 20][rng.index(3)];
-        let jitter = rng.gen_range(0..5);
-        let seed = rng.gen_range(0..1 << 20);
-        let origin = if rng.chance(0.5) {
-            Gt::from_parts(0, Gt::TICK_MASK - rng.gen_range(0..64)).as_raw()
-        } else {
-            0
-        };
-        let run = |threads: usize| {
-            ExperimentGrid::new("parallel-cell-property")
-                .protocols([ProtocolKind::TsSnoop])
-                .topologies([topology])
-                .nets([NetworkModelSpec::detailed(occupancy)])
-                .workloads(vec![paper::barnes(0.002)])
-                .seeds([seed])
-                .perturbation(jitter, 2)
-                .gt_origin(origin)
-                .cell_threads(threads)
-                .run()
-                .expect("property grid is valid")
-                .to_json()
-        };
-        let baseline = run(1);
-        let threads = 2 + rng.index(7); // 2..=8
-        assert!(
-            run(threads) == baseline,
-            "case {case}: grid bytes diverged between 1 and {threads} cell \
-             threads (topology {topology:?}, occupancy {occupancy}, jitter \
-             {jitter}, seed {seed}, gt_origin {origin})"
-        );
     }
 }
 

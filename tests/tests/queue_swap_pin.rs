@@ -32,7 +32,7 @@ fn contention_fixture_path() -> PathBuf {
 /// every hot path the queue swap touches (fast closed form, detailed
 /// token net on a single-plane torus and the four-plane butterfly,
 /// directory protocols with no address net at all, §4.3 jitter).
-fn pin_grid_with(gt_origin: u64, cell_threads: usize) -> GridReport {
+fn pin_grid_from(gt_origin: u64) -> GridReport {
     ExperimentGrid::new("queue-swap-pin")
         .protocols(ProtocolKind::ALL)
         .topologies([TopologyKind::Torus4x4, TopologyKind::Butterfly16])
@@ -41,13 +41,8 @@ fn pin_grid_with(gt_origin: u64, cell_threads: usize) -> GridReport {
         .seeds([0])
         .perturbation(4, 2)
         .gt_origin(gt_origin)
-        .cell_threads(cell_threads)
         .run()
         .expect("pin grid is valid")
-}
-
-fn pin_grid_from(gt_origin: u64) -> GridReport {
-    pin_grid_with(gt_origin, 0)
 }
 
 fn pin_grid() -> GridReport {
@@ -59,7 +54,7 @@ fn pin_grid() -> GridReport {
 /// shortcut firing while transactions were still in flight. The fast /
 /// detailed(5) grid above never builds deep switch queues, so refactors
 /// of the slack/GT bookkeeping get pinned here, where they are riskiest.
-fn contention_pin_grid_with(gt_origin: u64, cell_threads: usize) -> GridReport {
+fn contention_pin_grid_from(gt_origin: u64) -> GridReport {
     ExperimentGrid::new("contention-pin")
         .protocols([ProtocolKind::TsSnoop])
         .topologies([TopologyKind::Torus4x4])
@@ -68,13 +63,8 @@ fn contention_pin_grid_with(gt_origin: u64, cell_threads: usize) -> GridReport {
         .seeds([0])
         .perturbation(4, 2)
         .gt_origin(gt_origin)
-        .cell_threads(cell_threads)
         .run()
         .expect("contention pin grid is valid")
-}
-
-fn contention_pin_grid_from(gt_origin: u64) -> GridReport {
-    contention_pin_grid_with(gt_origin, 0)
 }
 
 fn contention_pin_grid() -> GridReport {
@@ -130,38 +120,6 @@ fn era_rollover_seeded_grid_matches_the_pinned_bytes() {
         "a fast-model run seeded just below the era rollover diverged from \
          the origin-0 fixture — ordering-time wraparound is observable"
     );
-}
-
-/// The parallel-cell acceptance sweep: running every detailed cell of
-/// both pinned grids on 1, 2, 4 and 8 frontier workers — at origin 0
-/// *and* seeded just below the 48-bit Gt era edge — must reproduce the
-/// committed serial fixtures byte for byte. This is the system-level
-/// face of the conservative parallel event loop: partitioning, slack
-/// horizons and the same-GT merge are all observably invisible, so
-/// `--threads` can never change a result, only how fast it arrives.
-#[test]
-fn parallel_cells_reproduce_the_pinned_bytes_at_every_thread_count() {
-    let era = tss_sim::Gt::from_parts(0, tss_sim::Gt::TICK_MASK - 3).as_raw();
-    let fixture = std::fs::read_to_string(fixture_path())
-        .expect("fixture missing: run the ignored `regenerate` test and commit the file");
-    let contention_fixture = std::fs::read_to_string(contention_fixture_path())
-        .expect("fixture missing: run the ignored `regenerate` test and commit the file");
-    for origin in [0, era] {
-        for threads in [1usize, 2, 4, 8] {
-            assert!(
-                pin_grid_with(origin, threads).to_json() + "\n" == fixture,
-                "pin grid diverged from the serial fixture at gt_origin {origin} \
-                 with {threads} cell threads — the parallel event loop is \
-                 observable"
-            );
-            assert!(
-                contention_pin_grid_with(origin, threads).to_json() + "\n" == contention_fixture,
-                "contention pin grid diverged from the serial fixture at \
-                 gt_origin {origin} with {threads} cell threads — the parallel \
-                 event loop is observable under switch-queue contention"
-            );
-        }
-    }
 }
 
 /// Writes the fixtures. Ignored so CI never overwrites the pins; run it by
