@@ -19,7 +19,9 @@ fn main() {
         for i in 0..1000u64 {
             last = net.inject(Time::from_ns(i * 3), NodeId((i % 16) as u16), i);
         }
-        std::hint::black_box(net.drain(last).len())
+        let mut out = Vec::new();
+        net.drain_into(last, &mut out);
+        std::hint::black_box(out.len())
     });
     runner.bench("detailed_net/torus_50_broadcasts", 10, || {
         let fabric = Arc::new(Fabric::torus4x4());

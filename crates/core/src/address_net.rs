@@ -12,8 +12,10 @@
 //!   transaction hop simulated, with optional link occupancy creating
 //!   the contention the paper leaves unmeasured.
 //!
-//! [`AddressNet`] is the seam between them. It is a *polled* interface
-//! built around three calls:
+//! [`AddressNet`] is the seam between them, implemented directly on
+//! [`FastOrderedNet`] and [`MultiPlaneNet`]; both hand out the one
+//! delivery type [`tss_net::Delivery`] (re-exported as [`AddrDelivery`]).
+//! It is a *polled* interface built around three calls:
 //!
 //! 1. [`AddressNet::inject`] broadcasts a payload and returns a **poll
 //!    hint** — the earliest instant at which draining may make progress;
@@ -44,33 +46,36 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use tss::address_net::{AddressNet, DetailedAddressNet, FastAddressNet};
-//! use tss_net::{DetailedNetConfig, Fabric, NodeId, OrderedNetTiming};
+//! use tss::address_net::AddressNet;
+//! use tss_net::{
+//!     DetailedNetConfig, Fabric, FastOrderedNet, MultiPlaneNet, NodeId, OrderedNetTiming,
+//! };
 //! use tss_sim::{Duration, Time};
+//!
+//! // Polls a model exactly the way `System`'s event loop does and
+//! // returns the ordering instant of every endpoint copy.
+//! fn ordered_at(net: &mut dyn AddressNet<&'static str>) -> Vec<Time> {
+//!     net.inject(Time::from_ns(40), NodeId(1), "GETS A");
+//!     let mut out = Vec::new();
+//!     while let Some(at) = net.next_ready() {
+//!         net.drain_into(at, &mut out);
+//!     }
+//!     out.iter().map(|d| d.ordered_at).collect()
+//! }
 //!
 //! let fabric = Arc::new(Fabric::torus4x4());
 //! // Detailed model: 15 ns links, slack 2, unloaded. Fast model: uniform
 //! // 15 ns links, slack 3 = 2 + the detailed model's conservative tick.
-//! let mut detailed =
-//!     DetailedAddressNet::new(Arc::clone(&fabric), DetailedNetConfig::default(), 64);
-//! let mut fast = FastAddressNet::new(
+//! let detailed = ordered_at(&mut MultiPlaneNet::new(
+//!     Arc::clone(&fabric),
+//!     DetailedNetConfig::default(),
+//! ));
+//! let fast = ordered_at(&mut FastOrderedNet::new(
 //!     fabric,
 //!     OrderedNetTiming::uniform(Duration::from_ns(15), 3),
-//! );
-//!
-//! let hint = fast.inject(Time::from_ns(40), NodeId(1), "GETS A");
-//! let mut fast_out = Vec::new();
-//! fast.drain_into(hint, &mut fast_out);
-//! let fast_instant = fast_out[0].ordered_at;
-//!
-//! detailed.inject(Time::from_ns(40), NodeId(1), "GETS A");
-//! let mut out = Vec::new();
-//! while out.is_empty() {
-//!     let at = detailed.next_ready().expect("copies outstanding");
-//!     detailed.drain_into(at, &mut out);
-//! }
-//! assert_eq!(out.len(), 16); // snooped by every endpoint, same instant
-//! assert_eq!(out[0].ordered_at, fast_instant);
+//! ));
+//! assert_eq!(fast.len(), 16); // snooped by every endpoint, same instant
+//! assert_eq!(detailed, fast);
 //! ```
 
 use std::sync::Arc;
@@ -84,24 +89,9 @@ use tss_sim::{Gt, Time};
 use crate::config::{NetworkModelSpec, Timing};
 
 /// One endpoint copy of a broadcast, delivered in the established total
-/// order.
-#[derive(Debug, Clone)]
-pub struct AddrDelivery<P> {
-    /// The endpoint this copy was delivered to.
-    pub dest: NodeId,
-    /// Source node of the broadcast.
-    pub src: NodeId,
-    /// Physical arrival time of this copy at `dest` (drives the §3
-    /// prefetch optimisation: controllers may start a memory access at
-    /// arrival and respond once ordered).
-    pub arrival: Time,
-    /// The instant this copy became processable in the total order. All
-    /// copies share one instant in the unloaded models; under contention
-    /// the detailed model's endpoints can skew.
-    pub ordered_at: Time,
-    /// The broadcast payload, shared across the endpoint copies.
-    pub payload: Arc<P>,
-}
+/// order; `arrival` drives the §3 prefetch optimisation (controllers may
+/// start a memory access at arrival and respond once ordered).
+pub use tss_net::Delivery as AddrDelivery;
 
 /// A model of the timestamp-ordered address network — see the module
 /// docs for the polling contract.
@@ -133,133 +123,55 @@ pub trait AddressNet<P>: Send {
     }
 }
 
-/// [`AddressNet`] over the closed-form unloaded model
-/// ([`FastOrderedNet`]) — the default, and the paper's own evaluation
-/// assumption.
-#[derive(Debug)]
-pub struct FastAddressNet<P> {
-    net: FastOrderedNet<P>,
-    /// Reusable buffer for the raw deliveries of one drain.
-    scratch: Vec<tss_net::Delivery<P>>,
-}
-
-impl<P> FastAddressNet<P> {
-    /// Builds the fast model over `fabric` with the given timing.
-    pub fn new(fabric: Arc<Fabric>, timing: OrderedNetTiming) -> Self {
-        FastAddressNet {
-            net: FastOrderedNet::new(fabric, timing),
-            scratch: Vec::new(),
-        }
-    }
-}
-
-impl<P: Send + Sync> AddressNet<P> for FastAddressNet<P> {
+/// The closed-form unloaded model — the default, and the paper's own
+/// evaluation assumption.
+impl<P: Send + Sync> AddressNet<P> for FastOrderedNet<P> {
     fn inject(&mut self, now: Time, src: NodeId, payload: P) -> Time {
-        // The closed form knows the exact ordering instant at injection.
-        self.net.inject(now, src, payload)
+        FastOrderedNet::inject(self, now, src, payload)
     }
 
     fn drain_into(&mut self, now: Time, out: &mut Vec<AddrDelivery<P>>) {
-        self.net.drain_into(now, &mut self.scratch);
-        out.extend(self.scratch.drain(..).map(|d| AddrDelivery {
-            dest: d.dest,
-            src: d.src,
-            arrival: d.arrival,
-            ordered_at: d.ordered_at,
-            payload: d.payload,
-        }));
+        FastOrderedNet::drain_into(self, now, out);
     }
 
     fn next_ready(&self) -> Option<Time> {
-        self.net.next_ordered_at()
+        self.next_ordered_at()
     }
 
     fn ledger(&self) -> &TrafficLedger {
-        self.net.ledger()
+        FastOrderedNet::ledger(self)
     }
 }
 
-/// [`AddressNet`] over the detailed token-passing model: one
-/// [`tss_net::DetailedNet`] per fabric plane, injections assigned
-/// round-robin, deliveries merged at the min-GT frontier (all via
-/// [`MultiPlaneNet`]).
-///
-/// Positive link occupancy makes transactions queue in switches and
-/// zero-slack transactions stall the token wave, so guarantee times — and
-/// with them every ordering instant the coherence protocol observes —
-/// slip later. That is the contention feedback the fast model cannot
-/// express.
-#[derive(Debug)]
-pub struct DetailedAddressNet<P> {
-    net: MultiPlaneNet<P>,
-    buffer_depth: u32,
-}
-
-impl<P> DetailedAddressNet<P> {
-    /// Builds one detailed network per fabric plane (the `plane` field of
-    /// `cfg` is ignored). `buffer_depth` is the provisioned per-switch
-    /// transaction buffering; exceeding it panics (see
-    /// [`NetworkModelSpec::Detailed`]).
-    pub fn new(fabric: Arc<Fabric>, cfg: DetailedNetConfig, buffer_depth: u32) -> Self {
-        DetailedAddressNet {
-            net: MultiPlaneNet::new(fabric, cfg),
-            buffer_depth,
-        }
-    }
-
-    fn check_buffers(&self) {
-        let high = self.net.switch_buffer_high_water();
-        assert!(
-            high <= self.buffer_depth as usize,
-            "detailed address network exceeded its provisioned switch \
-             buffering: high water {high} > buffer_depth {}",
-            self.buffer_depth
-        );
-    }
-}
-
-impl<P: Send + Sync + 'static> AddressNet<P> for DetailedAddressNet<P> {
+/// The detailed token-passing model. Positive link occupancy makes
+/// transactions queue in switches and zero-slack transactions stall the
+/// token wave, so every ordering instant the coherence protocol observes
+/// slips later — the contention feedback the fast model cannot express.
+impl<P: Send + Sync + 'static> AddressNet<P> for MultiPlaneNet<P> {
     fn inject(&mut self, now: Time, src: NodeId, payload: P) -> Time {
-        self.net.inject(now, src, payload);
-        self.check_buffers();
+        MultiPlaneNet::inject(self, now, src, payload);
         // The ordering instant is not known in closed form; hand back the
         // next internal event horizon and let the poll chain walk forward.
-        self.net
-            .next_event_at()
-            .expect("token circulation never stops")
+        self.next_event_at().expect("token circulation never stops")
     }
 
     fn drain_into(&mut self, now: Time, out: &mut Vec<AddrDelivery<P>>) {
-        self.net.run_until(now);
-        self.check_buffers();
-        out.extend(
-            self.net
-                .drain_released()
-                .map(|(gate_open, d)| AddrDelivery {
-                    dest: d.dest,
-                    src: d.src,
-                    arrival: d.arrival,
-                    // The exact instant the min-GT gate opened for this copy —
-                    // correct even if the caller drains later than that.
-                    ordered_at: gate_open,
-                    payload: d.payload,
-                }),
-        );
+        MultiPlaneNet::drain_into(self, now, out);
     }
 
     fn next_ready(&self) -> Option<Time> {
-        if self.net.outstanding() == 0 {
+        if self.outstanding() == 0 {
             return None;
         }
-        self.net.next_event_at()
+        self.next_event_at()
     }
 
     fn ledger(&self) -> &TrafficLedger {
-        self.net.ledger()
+        MultiPlaneNet::ledger(self)
     }
 
     fn waves_skipped(&self) -> u64 {
-        self.net.waves_skipped()
+        MultiPlaneNet::waves_skipped(self)
     }
 }
 
@@ -283,7 +195,7 @@ pub fn build_address_net<P: Send + Sync + 'static>(
     _threads: usize,
 ) -> Box<dyn AddressNet<P>> {
     match spec {
-        NetworkModelSpec::Fast => Box::new(FastAddressNet::new(
+        NetworkModelSpec::Fast => Box::new(FastOrderedNet::new(
             fabric,
             OrderedNetTiming {
                 hops: tss_net::HopTiming::Weighted {
@@ -299,16 +211,15 @@ pub fn build_address_net<P: Send + Sync + 'static>(
             link_occupancy,
             initial_slack,
             buffer_depth,
-        } => Box::new(DetailedAddressNet::new(
+        } => Box::new(MultiPlaneNet::new(
             fabric,
             DetailedNetConfig {
                 link_latency: timing.d_switch,
                 link_occupancy,
                 initial_slack,
-                plane: 0, // MultiPlaneNet drives every plane itself
+                buffer_depth,
                 gt_origin,
             },
-            buffer_depth,
         )),
     }
 }
@@ -331,7 +242,8 @@ mod tests {
     #[test]
     fn fast_adapter_preserves_closed_form_instants() {
         let fabric = Arc::new(Fabric::butterfly16());
-        let mut net = FastAddressNet::new(fabric, OrderedNetTiming::paper_default());
+        let net: &mut dyn AddressNet<u32> =
+            &mut FastOrderedNet::new(fabric, OrderedNetTiming::paper_default());
         let hint = net.inject(Time::from_ns(100), NodeId(0), 7u32);
         assert_eq!(hint, Time::from_ns(149)); // Table 2 one-way latency
         assert_eq!(net.next_ready(), Some(hint));
@@ -345,12 +257,12 @@ mod tests {
     #[test]
     fn detailed_adapter_delivers_everywhere_and_quiesces() {
         let fabric = Arc::new(Fabric::butterfly16());
-        let mut net: DetailedAddressNet<u32> =
-            DetailedAddressNet::new(fabric, DetailedNetConfig::default(), 64);
+        let net: &mut dyn AddressNet<u32> =
+            &mut MultiPlaneNet::new(fabric, DetailedNetConfig::default());
         for i in 0..6 {
             net.inject(Time::from_ns(40 + 3 * i), NodeId(i as u16), i as u32);
         }
-        let out = poll_all(&mut net, 6 * 16);
+        let out = poll_all(net, 6 * 16);
         assert_eq!(out.len(), 6 * 16);
         // Every endpoint saw every broadcast, in one consistent order.
         let mut orders: Vec<Vec<u32>> = vec![Vec::new(); 16];
@@ -366,18 +278,18 @@ mod tests {
     fn detailed_adapter_contention_delays_ordering() {
         let run = |occ: u64| {
             let fabric = Arc::new(Fabric::torus4x4());
-            let mut net: DetailedAddressNet<u32> = DetailedAddressNet::new(
+            let net: &mut dyn AddressNet<u32> = &mut MultiPlaneNet::new(
                 fabric,
                 DetailedNetConfig {
                     link_occupancy: Duration::from_ns(occ),
+                    buffer_depth: 64,
                     ..DetailedNetConfig::default()
                 },
-                64,
             );
             for i in 0..8 {
                 net.inject(Time::from_ns(40 + i), NodeId(0), i as u32);
             }
-            poll_all(&mut net, 8 * 16)
+            poll_all(net, 8 * 16)
                 .iter()
                 .map(|d| d.ordered_at.as_ns())
                 .max()
@@ -393,13 +305,13 @@ mod tests {
     #[should_panic(expected = "provisioned switch buffering")]
     fn detailed_adapter_enforces_buffer_depth() {
         let fabric = Arc::new(Fabric::torus4x4());
-        let mut net: DetailedAddressNet<u32> = DetailedAddressNet::new(
+        let net: &mut dyn AddressNet<u32> = &mut MultiPlaneNet::new(
             fabric,
             DetailedNetConfig {
                 link_occupancy: Duration::from_ns(60),
+                buffer_depth: 1, // one buffer entry per switch: any queueing trips it
                 ..DetailedNetConfig::default()
             },
-            1, // one buffer entry per fabric: any queueing trips it
         );
         for i in 0..16 {
             net.inject(Time::from_ns(40 + i), NodeId(0), i as u32);

@@ -280,8 +280,9 @@ impl serde::Deserialize for TopologyKind {
 ///
 /// The address network is the snooping broadcast fabric that assigns
 /// ordering times; directory protocols never build one, so this spec only
-/// affects TS-Snoop runs. Both models are implemented behind the
-/// [`crate::address_net::AddressNet`] trait:
+/// affects TS-Snoop runs. Both models implement the
+/// [`crate::address_net::AddressNet`] trait directly, and
+/// [`crate::address_net::build_address_net`] builds the one a spec names:
 ///
 /// * [`Fast`](NetworkModelSpec::Fast) — the closed-form unloaded model
 ///   ([`tss_net::FastOrderedNet`]): the paper's own evaluation assumption
@@ -315,10 +316,11 @@ pub enum NetworkModelSpec {
         /// network contention"). Must be ≥ 1 whenever `link_occupancy`
         /// is positive.
         initial_slack: u64,
-        /// Provisioned per-fabric switch buffering: the run panics if any
-        /// switch ever holds more transaction copies than this (§2.2
+        /// Provisioned per-switch transaction buffering: the run panics if
+        /// any switch ever holds more transaction copies than this (§2.2
         /// "Buffering" — the paper argues modest buffers suffice; this
-        /// knob turns that argument into a checked invariant).
+        /// knob turns that argument into a checked invariant). Passed
+        /// through as [`tss_net::DetailedNetConfig::buffer_depth`].
         buffer_depth: u32,
     },
 }

@@ -33,17 +33,17 @@
 //! * `butterfly_single_plane_equivalence` / `torus_equivalence` (and
 //!   friends) check raw-network order and the `fast + one tick` instant
 //!   offset per delivery;
-//! * `address_net_unloaded_instants_match_fast_model` drives both models
-//!   through the `tss::address_net::AddressNet` adapters the full-system
-//!   simulator uses and asserts **byte-identical** ordering instants for
-//!   unloaded (`link_occupancy = 0`) detailed runs against this model at
+//! * `address_net_unloaded_instants_match_fast_model` drives this model
+//!   and [`MultiPlaneNet`](crate::MultiPlaneNet) through the
+//!   `tss::address_net::AddressNet` trait the full-system simulator uses
+//!   and asserts **byte-identical** ordering instants for unloaded
+//!   (`link_occupancy = 0`) detailed runs against this model at
 //!   `uniform(link, S + 1)`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use tss_sim::stats::{Histogram, LatencyStat};
 use tss_sim::{Duration, Gt, GtKey, Time};
 
 use crate::ids::NodeId;
@@ -133,7 +133,8 @@ impl OrderedNetTiming {
     }
 }
 
-/// A transaction delivered (in logical order) to one endpoint.
+/// A transaction delivered (in logical order) to one endpoint — the one
+/// delivery type of both address-network models.
 #[derive(Debug, Clone)]
 pub struct Delivery<P> {
     /// The endpoint this copy was delivered to.
@@ -148,7 +149,12 @@ pub struct Delivery<P> {
     /// optimisation: controllers may start a DRAM/SRAM access at arrival
     /// and respond once ordered — §3 optimisation 1).
     pub arrival: Time,
-    /// When this copy became processable (`OT·τ`); equal at all endpoints.
+    /// When this copy became processable in the total order. The fast
+    /// model gives every endpoint the same instant (`OT·τ`); the token
+    /// model gives the instant the endpoint's guarantee time passed `OT`
+    /// (a single [`DetailedNet`](crate::DetailedNet) plane) or the
+    /// min-GT gate opened ([`MultiPlaneNet`](crate::MultiPlaneNet)), which
+    /// can differ between endpoints under contention.
     pub ordered_at: Time,
     /// The broadcast payload.
     pub payload: Arc<P>,
@@ -202,7 +208,8 @@ impl<P> Ord for Pending<P> {
 /// // One way latency on the butterfly is 49 ns (Table 2); the transaction
 /// // is processable everywhere once the guarantee time reaches its OT.
 /// assert_eq!(ordered_at, Time::from_ns(149));
-/// let deliveries = net.drain(ordered_at);
+/// let mut deliveries = Vec::new();
+/// net.drain_into(ordered_at, &mut deliveries);
 /// assert_eq!(deliveries.len(), 16); // snooped by every endpoint
 /// ```
 #[derive(Debug)]
@@ -217,10 +224,6 @@ pub struct FastOrderedNet<P> {
     seq: Vec<u64>,
     plane_rr: Vec<u32>,
     ledger: TrafficLedger,
-    residency: LatencyStat,
-    depth_at_insert: Histogram,
-    injected: u64,
-    delivered: u64,
 }
 
 impl<P> FastOrderedNet<P> {
@@ -242,10 +245,6 @@ impl<P> FastOrderedNet<P> {
             seq: vec![0; n],
             plane_rr: vec![0; n],
             ledger,
-            residency: LatencyStat::new(),
-            depth_at_insert: Histogram::new(64),
-            injected: 0,
-            delivered: 0,
         }
     }
 
@@ -273,7 +272,7 @@ impl<P> FastOrderedNet<P> {
     /// Returns the physical instant at which the transaction becomes
     /// processable at **every** endpoint (they all reach `GT = OT`
     /// simultaneously in the unloaded model). The caller should invoke
-    /// [`FastOrderedNet::drain`] at that instant.
+    /// [`FastOrderedNet::drain_into`] at that instant.
     pub fn inject(&mut self, now: Time, src: NodeId, payload: P) -> Time {
         let plane = (self.plane_rr[src.index()] as usize) % self.fabric.planes();
         self.plane_rr[src.index()] = self.plane_rr[src.index()].wrapping_add(1);
@@ -303,13 +302,6 @@ impl<P> FastOrderedNet<P> {
         let seq = self.seq[src.index()];
         self.seq[src.index()] += 1;
 
-        // Every endpoint's reorder queue holds exactly the pending
-        // broadcasts, so the per-endpoint depth at insertion is the shared
-        // heap's depth — recorded once per (endpoint, broadcast) to keep
-        // the histogram's sample population unchanged.
-        for _ in 0..self.fabric.num_nodes() {
-            self.depth_at_insert.record(self.pending.len() as u64);
-        }
         self.pending.push(Reverse(Pending {
             key: GtKey::with_src_seq(ot, src.0, seq),
             plane,
@@ -318,23 +310,15 @@ impl<P> FastOrderedNet<P> {
         }));
 
         self.ledger.record_tree(tree, MsgClass::Request);
-        self.injected += 1;
         ordered_at
     }
 
-    /// Delivers, in the established total order, every transaction whose
-    /// ordering time has been reached at `now`.
+    /// Appends to `out`, in the established total order, every endpoint
+    /// copy of each transaction whose ordering time has been reached at
+    /// `now`.
     ///
     /// Deliveries are grouped per endpoint; within an endpoint they follow
     /// the `(OT, source, sequence)` total order exactly.
-    pub fn drain(&mut self, now: Time) -> Vec<Delivery<P>> {
-        let mut out = Vec::new();
-        self.drain_into(now, &mut out);
-        out
-    }
-
-    /// [`FastOrderedNet::drain`], but appending into a caller-owned buffer
-    /// so the per-poll allocation can be amortised by the event loop.
     pub fn drain_into(&mut self, now: Time, out: &mut Vec<Delivery<P>>) {
         debug_assert!(self.ready.is_empty());
         while let Some(Reverse(top)) = self.pending.peek() {
@@ -357,7 +341,6 @@ impl<P> FastOrderedNet<P> {
                 let ordered_at = self.ordered_at_of(self.ready[i].key.gt());
                 let p = &self.ready[i];
                 debug_assert!(arrival <= ordered_at);
-                self.residency.record(ordered_at.since(arrival));
                 out.push(Delivery {
                     dest: NodeId(dest as u16),
                     src,
@@ -367,30 +350,13 @@ impl<P> FastOrderedNet<P> {
                     ordered_at,
                     payload: Arc::clone(&p.payload),
                 });
-                self.delivered += 1;
             }
         }
         self.ready.clear();
     }
 
-    /// Transactions injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// Endpoint-copies delivered so far (16 per broadcast on a 16-node
-    /// system).
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Total endpoint-copies still awaiting their ordering time.
-    pub fn pending(&self) -> usize {
-        self.pending.len() * self.fabric.num_nodes()
-    }
-
     /// Earliest ordering instant among still-pending deliveries — when the
-    /// next [`FastOrderedNet::drain`] call can make progress. The heap is
+    /// next [`FastOrderedNet::drain_into`] call can make progress. The heap is
     /// `(OT, source, seq)`-ordered and `ordered_at` is monotone in OT, so
     /// the top entry carries the minimum.
     pub fn next_ordered_at(&self) -> Option<Time> {
@@ -402,17 +368,6 @@ impl<P> FastOrderedNet<P> {
     /// The address-network traffic ledger (Request-class bytes).
     pub fn ledger(&self) -> &TrafficLedger {
         &self.ledger
-    }
-
-    /// Buffer residency (arrival → ordered) statistics: how long endpoint
-    /// reorder queues hold early transactions (§2.2 "Buffering").
-    pub fn residency(&self) -> &LatencyStat {
-        &self.residency
-    }
-
-    /// Histogram of reorder-queue depth observed at insertion.
-    pub fn queue_depth(&self) -> &Histogram {
-        &self.depth_at_insert
     }
 
     /// The fabric this network runs over.
@@ -427,6 +382,12 @@ mod tests {
 
     fn net(fabric: Fabric) -> FastOrderedNet<u32> {
         FastOrderedNet::new(Arc::new(fabric), OrderedNetTiming::paper_default())
+    }
+
+    fn drain(n: &mut FastOrderedNet<u32>, now: Time) -> Vec<Delivery<u32>> {
+        let mut out = Vec::new();
+        n.drain_into(now, &mut out);
+        out
     }
 
     #[test]
@@ -456,7 +417,7 @@ mod tests {
             n.inject(Time::from_ns(60), NodeId(9), 90),
         ];
         let last = *deadlines.iter().max().unwrap();
-        let deliveries = n.drain(last);
+        let deliveries = drain(&mut n, last);
         assert_eq!(deliveries.len(), 4 * 16);
         // Extract the per-endpoint order and check they are identical.
         let mut orders: Vec<Vec<u32>> = vec![Vec::new(); 16];
@@ -468,8 +429,7 @@ mod tests {
         }
         // Ties at the same OT broke by source id: node 1 before node 3.
         assert_eq!(orders[0], vec![10, 30, 11, 90]);
-        assert_eq!(n.pending(), 0);
-        assert_eq!(n.delivered(), 64);
+        assert_eq!(n.next_ordered_at(), None);
     }
 
     #[test]
@@ -479,7 +439,7 @@ mod tests {
         // OT; the sequence number must keep them in injection order.
         n.inject(Time::from_ns(42), NodeId(5), 1);
         n.inject(Time::from_ns(42), NodeId(5), 2);
-        let deliveries = n.drain(Time::from_ns(1_000));
+        let deliveries = drain(&mut n, Time::from_ns(1_000));
         let at0: Vec<u32> = deliveries
             .iter()
             .filter(|d| d.dest == NodeId(0))
@@ -492,15 +452,15 @@ mod tests {
     fn drain_respects_ordering_deadline() {
         let mut n = net(Fabric::butterfly16());
         let t = n.inject(Time::from_ns(0), NodeId(0), 7);
-        assert!(n.drain(Time::from_ns(t.as_ns() - 1)).is_empty());
-        assert_eq!(n.drain(t).len(), 16);
+        assert!(drain(&mut n, Time::from_ns(t.as_ns() - 1)).is_empty());
+        assert_eq!(drain(&mut n, t).len(), 16);
     }
 
     #[test]
     fn arrival_times_follow_tree_depths() {
         let mut n = net(Fabric::torus4x4());
         n.inject(Time::from_ns(0), NodeId(0), 1);
-        let deliveries = n.drain(Time::from_ns(1_000));
+        let deliveries = drain(&mut n, Time::from_ns(1_000));
         for d in &deliveries {
             let dist = n.fabric().distance(NodeId(0), d.dest);
             assert_eq!(d.arrival, Time::from_ns(4 + 15 * dist as u64));
@@ -535,10 +495,16 @@ mod tests {
     fn residency_statistics_accumulate() {
         let mut n = net(Fabric::torus4x4());
         n.inject(Time::from_ns(0), NodeId(0), 1);
-        n.drain(Time::from_ns(100));
+        let deliveries = drain(&mut n, Time::from_ns(100));
+        assert_eq!(deliveries.len(), 16);
         // Nearest destination (self) waits the longest: 64 - 4 = 60 ns.
-        assert_eq!(n.residency().max(), Some(Duration::from_ns(60)));
-        assert_eq!(n.residency().count(), 16);
+        let wait = |d: &Delivery<u32>| d.ordered_at.since(d.arrival);
+        assert_eq!(
+            deliveries.iter().map(wait).max(),
+            Some(Duration::from_ns(60))
+        );
+        let self_copy = deliveries.iter().find(|d| d.dest == NodeId(0)).unwrap();
+        assert_eq!(wait(self_copy), Duration::from_ns(60));
     }
 
     #[test]
@@ -571,7 +537,7 @@ mod tests {
             for i in 0..12u32 {
                 n.inject(Time::from_ns(5 + 7 * i as u64), NodeId((i % 16) as u16), i);
             }
-            n.drain(Time::from_ns(10_000))
+            drain(&mut n, Time::from_ns(10_000))
                 .iter()
                 .map(|d| {
                     (
@@ -605,6 +571,6 @@ mod tests {
         // GT_src = 0, D_max = ceil(64/15) = 5 ticks, S = 2 -> OT = 7.
         let t = n.inject(Time::from_ns(7), NodeId(2), 1);
         assert_eq!(t, Time::from_ns(7 * 15));
-        assert_eq!(n.drain(t).len(), 16);
+        assert_eq!(drain(&mut n, t).len(), 16);
     }
 }

@@ -23,6 +23,10 @@
 //!   round-robin" composition of [`DetailedNet`]s, merging per-plane
 //!   deliveries at the min-guarantee-time frontier (this is what
 //!   full-system `--net detailed` runs drive);
+//! * [`Delivery`] — one endpoint copy of a broadcast in the total order,
+//!   the single delivery type of both address-network models (the
+//!   `tss::address_net::AddressNet` trait is implemented directly on
+//!   [`FastOrderedNet`] and [`MultiPlaneNet`]);
 //! * [`UnicastNet`] — the point-to-point virtual networks used for data and
 //!   directory traffic, with optional per-pair FIFO ordering (DirOpt);
 //! * [`TrafficLedger`] — per-link, per-class byte accounting (Figure 4).
@@ -37,7 +41,9 @@
 //! let fabric = Arc::new(Fabric::torus4x4());
 //! let mut addr = FastOrderedNet::new(fabric, OrderedNetTiming::paper_default());
 //! let ready = addr.inject(Time::from_ns(0), NodeId(6), "GETS 0x40");
-//! for delivery in addr.drain(ready) {
+//! let mut deliveries = Vec::new();
+//! addr.drain_into(ready, &mut deliveries);
+//! for delivery in deliveries {
 //!     // every endpoint snoops the transaction in the same logical order
 //!     assert_eq!(*delivery.payload, "GETS 0x40");
 //! }
@@ -55,9 +61,7 @@ mod unicast;
 
 pub use fast::{Delivery, FastOrderedNet, HopTiming, OrderedNetTiming};
 pub use ids::{LinkId, NodeId, Vertex};
-pub use token::{
-    DetailedDelivery, DetailedNet, DetailedNetConfig, DetailedNetStats, MultiPlaneNet, SwitchCore,
-};
+pub use token::{DetailedNet, DetailedNetConfig, DetailedNetStats, MultiPlaneNet, SwitchCore};
 pub use topology::{BroadcastTree, Fabric, FabricKind, Link, TreeEdge};
 pub use traffic::{MsgClass, TrafficLedger, MSG_CLASSES};
 pub use unicast::{UnicastNet, VnetOrdering};

@@ -22,5 +22,5 @@ mod net;
 mod switch_core;
 
 pub use multi_plane::MultiPlaneNet;
-pub use net::{DetailedDelivery, DetailedNet, DetailedNetConfig, DetailedNetStats};
+pub use net::{DetailedNet, DetailedNetConfig, DetailedNetStats};
 pub use switch_core::SwitchCore;

@@ -20,11 +20,12 @@ use std::sync::Arc;
 
 use tss_sim::{Gt, GtKey, Time};
 
+use crate::fast::Delivery;
 use crate::ids::NodeId;
 use crate::topology::Fabric;
 use crate::traffic::{MsgClass, TrafficLedger};
 
-use super::net::{DetailedDelivery, DetailedNet, DetailedNetConfig};
+use super::net::{DetailedNet, DetailedNetConfig};
 
 #[derive(Debug)]
 struct MergeEntry<P> {
@@ -32,7 +33,7 @@ struct MergeEntry<P> {
     /// same lexicographic order the old `(u64, u16, u64)` tuple gave, but
     /// correct across an era rollover of the ordering times.
     key: GtKey,
-    delivery: DetailedDelivery<P>,
+    delivery: Delivery<P>,
 }
 
 impl<P> PartialEq for MergeEntry<P> {
@@ -67,9 +68,10 @@ impl<P> Ord for MergeEntry<P> {
 /// for i in 0..8u32 {
 ///     net.inject(Time::from_ns(10 + i as u64), NodeId(0), i);
 /// }
-/// net.run_until(Time::from_ns(2_000));
+/// let mut deliveries = Vec::new();
+/// net.drain_into(Time::from_ns(2_000), &mut deliveries);
 /// // 8 broadcasts, spread over all 4 planes, merged back into one order.
-/// assert_eq!(net.take_deliveries().len(), 8 * 16);
+/// assert_eq!(deliveries.len(), 8 * 16);
 /// ```
 #[derive(Debug)]
 pub struct MultiPlaneNet<P> {
@@ -79,7 +81,9 @@ pub struct MultiPlaneNet<P> {
     merge: Vec<BinaryHeap<Reverse<MergeEntry<P>>>>,
     /// Entries the merge heaps still hold (skip GT scans when zero).
     merge_pending: usize,
-    released: Vec<(Time, DetailedDelivery<P>)>,
+    /// Copies past the min-GT gate, each stamped with the instant the gate
+    /// opened, awaiting [`MultiPlaneNet::drain_into`].
+    released: Vec<Delivery<P>>,
     /// All-plane traffic ledger (per-plane ledgers merged at inject time).
     ledger: TrafficLedger,
     injected: u64,
@@ -92,11 +96,11 @@ pub struct MultiPlaneNet<P> {
 }
 
 impl<P> MultiPlaneNet<P> {
-    /// Builds one detailed network per fabric plane. The `plane` field of
-    /// `cfg` is ignored (each plane gets its own index).
+    /// Builds one detailed network per fabric plane, all configured by
+    /// `cfg`.
     pub fn new(fabric: Arc<Fabric>, cfg: DetailedNetConfig) -> Self {
         let planes = (0..fabric.planes())
-            .map(|p| DetailedNet::new(Arc::clone(&fabric), DetailedNetConfig { plane: p, ..cfg }))
+            .map(|p| DetailedNet::for_plane(Arc::clone(&fabric), cfg, p))
             .collect();
         let n = fabric.num_nodes();
         let ledger = TrafficLedger::new(&fabric);
@@ -135,7 +139,7 @@ impl<P> MultiPlaneNet<P> {
     /// Advances every plane to `t`, stepping one event horizon at a time
     /// and merging newly processed deliveries through the min-GT gate at
     /// each step, so every release carries its *exact* gate-open instant
-    /// (see [`MultiPlaneNet::take_released`]) no matter how coarsely the
+    /// (see [`MultiPlaneNet::drain_into`]) no matter how coarsely the
     /// caller polls.
     ///
     /// When the whole network is idle (every copy released, nothing held
@@ -171,7 +175,7 @@ impl<P> MultiPlaneNet<P> {
     }
 
     /// Pushes one plane delivery into its endpoint's merge heap.
-    fn push_merge(&mut self, plane: usize, d: DetailedDelivery<P>) {
+    fn push_merge(&mut self, plane: usize, d: Delivery<P>) {
         // Per-source sequence numbers are per-plane; recover a
         // global tiebreak from (plane count, seq) structure:
         // within one source, plane assignment is round-robin,
@@ -189,18 +193,16 @@ impl<P> MultiPlaneNet<P> {
     /// stamped `at`, in (node, key) order.
     fn release_frontier(&mut self, at: Time) {
         for node in 0..self.merge.len() {
-            let gt_min = self
-                .planes
-                .iter()
-                .map(|p| p.endpoint_gt(NodeId(node as u16)))
-                .min()
-                .expect("at least one plane");
+            let gt_min = self.endpoint_gt(NodeId(node as u16));
             while let Some(Reverse(top)) = self.merge[node].peek() {
                 if top.key.gt() >= gt_min {
                     break;
                 }
                 let Reverse(e) = self.merge[node].pop().expect("peeked");
-                self.released.push((at, e.delivery));
+                self.released.push(Delivery {
+                    ordered_at: at,
+                    ..e.delivery
+                });
                 self.released_total += 1;
                 self.copies_outstanding -= 1;
                 self.merge_pending -= 1;
@@ -222,26 +224,15 @@ impl<P> MultiPlaneNet<P> {
         self.release_frontier(at);
     }
 
-    /// Takes the deliveries released so far (globally ordered per
-    /// endpoint).
-    pub fn take_deliveries(&mut self) -> Vec<DetailedDelivery<P>> {
-        self.take_released().into_iter().map(|(_, d)| d).collect()
-    }
-
-    /// Takes the deliveries released so far, each paired with the instant
-    /// its min-GT gate opened — the moment a coherence controller may
-    /// process it. Per-plane [`DetailedDelivery::processed_at`] can be
-    /// earlier (that plane ran ahead); the gate instant is the
-    /// system-visible ordering time.
-    pub fn take_released(&mut self) -> Vec<(Time, DetailedDelivery<P>)> {
-        std::mem::take(&mut self.released)
-    }
-
-    /// Drains the released deliveries in place, reusing the internal
-    /// buffer's allocation across polls (the hot-path alternative to
-    /// [`MultiPlaneNet::take_released`]).
-    pub fn drain_released(&mut self) -> impl Iterator<Item = (Time, DetailedDelivery<P>)> + '_ {
-        self.released.drain(..)
+    /// Advances every plane to `now` ([`MultiPlaneNet::run_until`]) and
+    /// appends every copy released so far to `out`, globally ordered per
+    /// endpoint. Each copy's [`Delivery::ordered_at`] is the instant its
+    /// min-GT gate opened — the moment a coherence controller may process
+    /// it, even if the caller drains later than that. (The plane that
+    /// carried the copy may have processed it earlier, having run ahead.)
+    pub fn drain_into(&mut self, now: Time, out: &mut Vec<Delivery<P>>) {
+        self.run_until(now);
+        out.append(&mut self.released);
     }
 
     /// Idle token waves skipped analytically across all planes.
@@ -271,8 +262,8 @@ impl<P> MultiPlaneNet<P> {
         &self.ledger
     }
 
-    /// Endpoint-copies injected but not yet released through
-    /// [`MultiPlaneNet::take_deliveries`]'s backing store: in flight on a
+    /// Endpoint-copies injected but not yet released to
+    /// [`MultiPlaneNet::drain_into`]: in flight on a
     /// plane, waiting in a per-plane reorder queue, or held back by the
     /// min-GT merge gate. Maintained incrementally so it stays exact
     /// however large the lifetime `injected` count grows.
@@ -288,21 +279,6 @@ impl<P> MultiPlaneNet<P> {
             .filter_map(DetailedNet::next_event_at)
             .min()
     }
-
-    /// Largest switch-buffer occupancy observed on any plane — the
-    /// quantity a provisioned `buffer_depth` is checked against.
-    pub fn switch_buffer_high_water(&self) -> usize {
-        self.planes
-            .iter()
-            .map(DetailedNet::switch_buffer_high_water)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The fabric.
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
-    }
 }
 
 #[cfg(test)]
@@ -312,6 +288,12 @@ mod tests {
 
     fn net(cfg: DetailedNetConfig) -> MultiPlaneNet<u32> {
         MultiPlaneNet::new(Arc::new(Fabric::butterfly16()), cfg)
+    }
+
+    fn drain(n: &mut MultiPlaneNet<u32>, now: Time) -> Vec<Delivery<u32>> {
+        let mut out = Vec::new();
+        n.drain_into(now, &mut out);
+        out
     }
 
     #[test]
@@ -333,8 +315,7 @@ mod tests {
             n.inject(Time::from_ns(t), NodeId((i * 5 % 16) as u16), i);
             t += 17;
         }
-        n.run_until(Time::from_ns(10_000));
-        let deliveries = n.take_deliveries();
+        let deliveries = drain(&mut n, Time::from_ns(10_000));
         assert_eq!(deliveries.len(), 24 * 16);
         let mut orders: Vec<Vec<u32>> = vec![Vec::new(); 16];
         for d in &deliveries {
@@ -352,8 +333,7 @@ mod tests {
         // different planes but must stay in injection order everywhere.
         n.inject(Time::from_ns(100), NodeId(7), 1);
         n.inject(Time::from_ns(101), NodeId(7), 2);
-        n.run_until(Time::from_ns(5_000));
-        let deliveries = n.take_deliveries();
+        let deliveries = drain(&mut n, Time::from_ns(5_000));
         let at0: Vec<u32> = deliveries
             .iter()
             .filter(|d| d.dest == NodeId(0))
@@ -374,8 +354,7 @@ mod tests {
         for i in 0..32u32 {
             n.inject(Time::from_ns(10 + 3 * i as u64), NodeId((i % 16) as u16), i);
         }
-        n.run_until(Time::from_ns(50_000));
-        let deliveries = n.take_deliveries();
+        let deliveries = drain(&mut n, Time::from_ns(50_000));
         assert_eq!(deliveries.len(), 32 * 16);
         let mut orders: Vec<Vec<u32>> = vec![Vec::new(); 16];
         for d in &deliveries {
@@ -407,9 +386,9 @@ mod tests {
         assert_eq!(n.outstanding(), 16, "one broadcast, 16 copies pending");
         n.injected = 1;
         n.released_total = 0;
-        n.run_until(Time::from_ns(2_000));
+        let deliveries = drain(&mut n, Time::from_ns(2_000));
         assert_eq!(n.outstanding(), 0);
-        assert_eq!(n.take_deliveries().len(), 16);
+        assert_eq!(deliveries.len(), 16);
     }
 
     /// Starting all planes just below the era rollover must not disturb
@@ -429,12 +408,11 @@ mod tests {
             for i in 0..32u32 {
                 n.inject(Time::from_ns(10 + 3 * i as u64), NodeId((i % 16) as u16), i);
             }
-            n.run_until(Time::from_ns(50_000));
-            n.take_released()
+            drain(&mut n, Time::from_ns(50_000))
                 .iter()
-                .map(|(at, d)| {
+                .map(|d| {
                     (
-                        at.as_ns(),
+                        d.ordered_at.as_ns(),
                         d.dest.0,
                         d.src.0,
                         d.seq,
@@ -457,13 +435,11 @@ mod tests {
         for i in 0..8u32 {
             n.inject(Time::from_ns(10 + i as u64), NodeId(i as u16), i);
         }
-        n.run_until(Time::from_ns(1_000));
-        assert_eq!(n.take_deliveries().len(), 8 * 16);
+        assert_eq!(drain(&mut n, Time::from_ns(1_000)).len(), 8 * 16);
         // The idle catch-up to a much later injection is done in closed
         // form on every plane; deliveries stay complete and ordered.
         n.inject(Time::from_ns(500_000), NodeId(2), 99);
-        n.run_until(Time::from_ns(501_000));
-        assert_eq!(n.take_deliveries().len(), 16);
+        assert_eq!(drain(&mut n, Time::from_ns(501_000)).len(), 16);
         assert!(
             n.waves_skipped() > 4 * 30_000,
             "four planes × ~33k waves of idle gap should be skipped, got {}",
@@ -476,7 +452,6 @@ mod tests {
         let mut n: MultiPlaneNet<u32> =
             MultiPlaneNet::new(Arc::new(Fabric::torus4x4()), DetailedNetConfig::default());
         n.inject(Time::from_ns(40), NodeId(2), 9);
-        n.run_until(Time::from_ns(2_000));
-        assert_eq!(n.take_deliveries().len(), 16);
+        assert_eq!(drain(&mut n, Time::from_ns(2_000)).len(), 16);
     }
 }

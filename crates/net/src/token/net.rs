@@ -15,6 +15,7 @@ use std::sync::Arc;
 use tss_sim::stats::LatencyStat;
 use tss_sim::{Duration, EventQueue, Gt, GtKey, Time};
 
+use crate::fast::Delivery;
 use crate::ids::{LinkId, NodeId, Vertex};
 use crate::topology::Fabric;
 use crate::traffic::{MsgClass, TrafficLedger};
@@ -35,10 +36,10 @@ pub struct DetailedNetConfig {
     /// Initial slack `S` assigned at injection. `0` forces transactions to
     /// be delivered exactly on time, stalling guarantee times behind them.
     pub initial_slack: u64,
-    /// Which fabric plane to simulate (the fast model handles the
-    /// round-robin across planes; each plane is an independent token
-    /// domain).
-    pub plane: usize,
+    /// Provisioned per-switch transaction buffering: the run panics if any
+    /// switch ever holds more transaction copies than this (§2.2
+    /// "Buffering"). `u32::MAX`, the default, leaves it unchecked.
+    pub buffer_depth: u32,
     /// Guarantee time every switch and endpoint starts at. `Gt::ZERO` in
     /// normal runs; seeding it just below an era rollover exercises the
     /// wraparound-safe ordering end to end (results must be identical to
@@ -52,31 +53,10 @@ impl Default for DetailedNetConfig {
             link_latency: Duration::from_ns(15),
             link_occupancy: Duration::ZERO,
             initial_slack: 2,
-            plane: 0,
+            buffer_depth: u32::MAX,
             gt_origin: Gt::ZERO,
         }
     }
-}
-
-/// A transaction processed (in logical order) at one endpoint of the
-/// detailed network.
-#[derive(Debug, Clone)]
-pub struct DetailedDelivery<P> {
-    /// Endpoint that processed the transaction.
-    pub dest: NodeId,
-    /// Source of the broadcast.
-    pub src: NodeId,
-    /// Per-source sequence number.
-    pub seq: u64,
-    /// Ordering time (endpoint GT at processing), wraparound-safe.
-    pub ot: Gt,
-    /// Physical arrival time at this endpoint (self-deliveries arrive at
-    /// injection time).
-    pub arrival: Time,
-    /// When the endpoint processed the transaction (its GT reached the OT).
-    pub processed_at: Time,
-    /// The broadcast payload.
-    pub payload: Arc<P>,
 }
 
 /// Aggregate statistics of a detailed-network run.
@@ -211,6 +191,9 @@ impl<P> Default for EndpointExtra<P> {
 pub struct DetailedNet<P> {
     fabric: Arc<Fabric>,
     cfg: DetailedNetConfig,
+    /// The fabric plane this net simulates; each plane is an independent
+    /// token domain.
+    plane: usize,
     cores: Vec<Option<SwitchCore<FlightTxn<P>>>>,
     endpoints: Vec<EndpointExtra<P>>,
     events: EventQueue<Ev<P>>,
@@ -228,7 +211,7 @@ pub struct DetailedNet<P> {
     /// Transaction copies parked in endpoint reorder queues (skip the
     /// per-wave per-node reorder peeks when zero).
     reorder_parked: usize,
-    deliveries: Vec<DetailedDelivery<P>>,
+    deliveries: Vec<Delivery<P>>,
     ledger: TrafficLedger,
     ordering_delay: LatencyStat,
     injected: u64,
@@ -244,10 +227,6 @@ pub struct DetailedNet<P> {
     copies_outstanding: u64,
     /// Idle waves skipped in closed form.
     waves_skipped: u64,
-    /// Net-level mirror of the largest per-switch buffer occupancy ever
-    /// observed, maintained on the (rare) buffering path so the per-poll
-    /// provisioning check is O(1).
-    buffer_high_water: usize,
     /// Per-link stamp (vs `ff_generation`) for the one-token-per-link
     /// check, so a fast-forward attempt needs no clearing pass.
     link_stamp: Vec<u64>,
@@ -256,15 +235,21 @@ pub struct DetailedNet<P> {
 }
 
 impl<P> DetailedNet<P> {
-    /// Builds the network and performs the initial token kick: every input
-    /// port starts with one token (§2.2), so every switch and endpoint
-    /// fires once at time zero and the token wave self-times from there.
+    /// Builds the network over plane 0 of `fabric` and performs the
+    /// initial token kick: every input port starts with one token (§2.2),
+    /// so every switch and endpoint fires once at time zero and the token
+    /// wave self-times from there.
+    pub fn new(fabric: Arc<Fabric>, cfg: DetailedNetConfig) -> Self {
+        Self::for_plane(fabric, cfg, 0)
+    }
+
+    /// [`DetailedNet::new`] over fabric plane `plane`.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.plane` is out of range for `fabric`.
-    pub fn new(fabric: Arc<Fabric>, cfg: DetailedNetConfig) -> Self {
-        assert!(cfg.plane < fabric.planes(), "plane out of range");
+    /// Panics if `plane` is out of range for `fabric`.
+    pub(crate) fn for_plane(fabric: Arc<Fabric>, cfg: DetailedNetConfig, plane: usize) -> Self {
+        assert!(plane < fabric.planes(), "plane out of range");
         assert!(
             cfg.link_latency.as_ns() > 0,
             "link latency must be positive"
@@ -275,7 +260,7 @@ impl<P> DetailedNet<P> {
         let mut in_port_idx = vec![u32::MAX; fabric.links().len()];
         let mut out_port_idx = vec![u32::MAX; fabric.links().len()];
         for (i, l) in fabric.links().iter().enumerate() {
-            if l.plane != cfg.plane as u32 {
+            if l.plane != plane as u32 {
                 continue;
             }
             out_port_idx[i] = vertex_out_links[l.from.index()].len() as u32;
@@ -302,7 +287,7 @@ impl<P> DetailedNet<P> {
         let plane_links = fabric
             .links()
             .iter()
-            .filter(|l| l.plane == cfg.plane as u32)
+            .filter(|l| l.plane == plane as u32)
             .count();
         let link_dest: Vec<(u32, u32)> = fabric
             .links()
@@ -334,11 +319,11 @@ impl<P> DetailedNet<P> {
             link_free_pending: 0,
             copies_outstanding: 0,
             waves_skipped: 0,
-            buffer_high_water: 0,
             link_stamp: vec![0; fabric.links().len()],
             ff_generation: 0,
             fabric,
             cfg,
+            plane,
         };
         // Initial kick: everything can fire once at t = 0.
         for v in 0..nv {
@@ -428,7 +413,7 @@ impl<P> DetailedNet<P> {
 
     /// Takes all endpoint deliveries processed so far (in processing
     /// order, globally timestamped).
-    pub fn take_deliveries(&mut self) -> Vec<DetailedDelivery<P>> {
+    pub fn take_deliveries(&mut self) -> Vec<Delivery<P>> {
         std::mem::take(&mut self.deliveries)
     }
 
@@ -455,13 +440,6 @@ impl<P> DetailedNet<P> {
         self.copies_outstanding
     }
 
-    /// Largest switch-buffer occupancy observed so far on this plane —
-    /// the cheap accessor the per-poll buffer-provisioning check uses
-    /// (unlike [`DetailedNet::stats`], which assembles the full report).
-    pub fn switch_buffer_high_water(&self) -> usize {
-        self.buffer_high_water
-    }
-
     /// Address traffic recorded so far (Request class).
     pub fn ledger(&self) -> &TrafficLedger {
         &self.ledger
@@ -472,7 +450,13 @@ impl<P> DetailedNet<P> {
         let gts: Vec<Gt> = (0..self.fabric.num_nodes())
             .map(|n| self.endpoint_gt(NodeId(n as u16)))
             .collect();
-        let high_water = self.switch_buffer_high_water();
+        let high_water = self
+            .cores
+            .iter()
+            .flatten()
+            .map(SwitchCore::buffer_high_water)
+            .max()
+            .unwrap_or(0);
         DetailedNetStats {
             min_endpoint_gt: gts.iter().copied().min().unwrap_or(Gt::ZERO),
             max_endpoint_gt: gts.iter().copied().max().unwrap_or(Gt::ZERO),
@@ -492,7 +476,7 @@ impl<P> DetailedNet<P> {
     pub fn inject(&mut self, now: Time, src: NodeId, payload: P) -> Gt {
         self.run_until(now);
         self.now = now;
-        let max_depth = self.fabric.tree(self.cfg.plane, src).max_depth_links as u64;
+        let max_depth = self.fabric.tree(self.plane, src).max_depth_links as u64;
         let gt = self.core_ref(Vertex::node(src)).gt();
         let ot = gt.wrapping_add(max_depth + self.cfg.initial_slack);
         let seq = self.endpoints[src.index()].next_seq;
@@ -511,7 +495,7 @@ impl<P> DetailedNet<P> {
         };
         self.forward_branches(Vertex::node(src), ft);
         self.ledger
-            .record_tree(self.fabric.tree(self.cfg.plane, src), MsgClass::Request);
+            .record_tree(self.fabric.tree(self.plane, src), MsgClass::Request);
         self.injected += 1;
         self.copies_outstanding += self.fabric.num_nodes() as u64;
         ot
@@ -637,13 +621,13 @@ impl<P> DetailedNet<P> {
             self.processed += 1;
             self.copies_outstanding -= 1;
             self.reorder_parked -= 1;
-            self.deliveries.push(DetailedDelivery {
+            self.deliveries.push(Delivery {
                 dest: node,
                 src: NodeId(e.key.src()),
                 seq: e.key.seq(),
                 ot: e.key.gt(),
                 arrival: e.arrival,
-                processed_at: self.now,
+                ordered_at: self.now,
                 payload: e.payload,
             });
         }
@@ -656,13 +640,16 @@ impl<P> DetailedNet<P> {
         // A second handle on the fabric lets the tree be walked while the
         // sends mutate `self` — no per-hop branch buffer needed.
         let fabric = Arc::clone(&self.fabric);
-        let tree = fabric.tree(self.cfg.plane, ft.src);
+        let tree = fabric.tree(self.plane, ft.src);
         for &i in tree.branches_from(v) {
             let e = tree.edges[i as usize];
             self.send_or_buffer(v, e.link, e.delta_d as u64, ft.clone());
         }
     }
 
+    /// Sends `ft` over `link` if it is free, else buffers it in `v` — the
+    /// only place a switch buffer grows, so the provisioning check
+    /// ([`DetailedNetConfig::buffer_depth`]) lives here.
     fn send_or_buffer(&mut self, v: Vertex, link: LinkId, delta_d: u64, mut ft: FlightTxn<P>) {
         let li = link.index();
         if self.next_free[li] <= self.now {
@@ -679,10 +666,15 @@ impl<P> DetailedNet<P> {
         } else {
             let out_port = self.out_port_idx[li] as usize;
             let slack = ft.slack;
+            let depth = self.cfg.buffer_depth;
             let core = self.core(v);
             core.buffer(out_port, slack, delta_d, ft);
-            let high_water = core.buffer_high_water();
-            self.buffer_high_water = self.buffer_high_water.max(high_water);
+            let high = core.buffer_high_water();
+            assert!(
+                high <= depth as usize,
+                "detailed address network exceeded its provisioned switch \
+                 buffering: high water {high} > buffer_depth {depth}"
+            );
             self.arm_link_free(link);
         }
     }
@@ -784,8 +776,8 @@ mod tests {
         let dests: std::collections::BTreeSet<u16> = d.iter().map(|x| x.dest.0).collect();
         assert_eq!(dests.len(), 16);
         // All endpoints process at the same physical instant when unloaded.
-        let t0 = d[0].processed_at;
-        assert!(d.iter().all(|x| x.processed_at == t0));
+        let t0 = d[0].ordered_at;
+        assert!(d.iter().all(|x| x.ordered_at == t0));
     }
 
     #[test]
@@ -909,7 +901,7 @@ mod tests {
         net.run_until(Time::from_ns(2_000));
         let d = net.take_deliveries();
         let self_copy = d.iter().find(|x| x.dest == NodeId(3)).unwrap();
-        assert!(self_copy.processed_at > Time::from_ns(40));
+        assert!(self_copy.ordered_at > Time::from_ns(40));
         // The self copy physically travels node -> switch -> node.
         assert_eq!(self_copy.arrival, Time::from_ns(40 + 2 * 15));
     }
@@ -942,7 +934,7 @@ mod tests {
             // order inside one instant is not — the min-GT merge sorts).
             let mut log = vec![Vec::new(); 16];
             for d in net.take_deliveries() {
-                log[d.dest.index()].push((*d.payload, d.ot, d.processed_at.as_ns()));
+                log[d.dest.index()].push((*d.payload, d.ot, d.ordered_at.as_ns()));
             }
             (gts, log)
         };
@@ -1000,7 +992,7 @@ mod tests {
     /// shifted by the origin.
     #[test]
     fn era_rollover_run_matches_zero_origin_run() {
-        // (dest, src, seq, ot - origin, arrival ns, processed ns)
+        // (dest, src, seq, ot - origin, arrival ns, ordered ns)
         type DeliveryLog = Vec<(u16, u16, u64, u64, u64, u64)>;
         let drive = |origin: Gt| -> (Vec<Gt>, DeliveryLog) {
             let mut net: DetailedNet<u32> = DetailedNet::new(
@@ -1026,7 +1018,7 @@ mod tests {
                         d.seq,
                         d.ot.delta_since(origin),
                         d.arrival.as_ns(),
-                        d.processed_at.as_ns(),
+                        d.ordered_at.as_ns(),
                     )
                 })
                 .collect();
@@ -1059,7 +1051,7 @@ mod tests {
     }
 
     /// One delivery, flattened: (dest, src, seq, ot, arrival,
-    /// processed_at, payload).
+    /// ordered_at, payload).
     type TraceRow = (u16, u16, u64, Gt, Time, Time, u32);
 
     /// Every observable bit of a finished run, flattened for the trace
@@ -1075,7 +1067,7 @@ mod tests {
                     d.seq,
                     d.ot,
                     d.arrival,
-                    d.processed_at,
+                    d.ordered_at,
                     *d.payload,
                 )
             })
@@ -1146,5 +1138,33 @@ mod tests {
                 "trace moved at origin {origin:?}"
             );
         }
+    }
+
+    /// The contended torus schedule with its switch buffering capped at
+    /// `depth`; the high water of the uncapped run when `depth` is `None`.
+    fn contended_torus(depth: Option<u32>) -> DetailedNet<u32> {
+        let cfg = DetailedNetConfig {
+            buffer_depth: depth.unwrap_or(u32::MAX),
+            ..contended_cfg(Gt::ZERO)
+        };
+        let mut net = DetailedNet::new(Arc::new(Fabric::torus4x4()), cfg);
+        let (log, _) = drive_contended(&mut net);
+        assert_eq!(log.len(), 48 * 16, "every copy delivered");
+        net
+    }
+
+    #[test]
+    fn buffer_depth_at_the_high_water_completes() {
+        let high = contended_torus(None).stats().switch_buffer_high_water;
+        assert!(high > 1, "the contended schedule must buffer, got {high}");
+        let capped = contended_torus(Some(high as u32));
+        assert_eq!(capped.stats().switch_buffer_high_water, high);
+    }
+
+    #[test]
+    #[should_panic(expected = "provisioned switch buffering")]
+    fn buffer_depth_below_the_high_water_panics() {
+        let high = contended_torus(None).stats().switch_buffer_high_water;
+        contended_torus(Some(high as u32 - 1));
     }
 }

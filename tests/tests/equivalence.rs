@@ -9,16 +9,18 @@
 
 use std::sync::Arc;
 
-use tss::address_net::{AddrDelivery, AddressNet, DetailedAddressNet, FastAddressNet};
-use tss_net::{DetailedNet, DetailedNetConfig, Fabric, FastOrderedNet, NodeId, OrderedNetTiming};
+use tss::address_net::{AddrDelivery, AddressNet};
+use tss_net::{
+    DetailedNet, DetailedNetConfig, Fabric, FastOrderedNet, MultiPlaneNet, NodeId, OrderedNetTiming,
+};
 use tss_sim::rng::SimRng;
 use tss_sim::{Duration, Gt, Time};
 
-/// Per-endpoint (payload, processed_at) delivery sequences.
+/// Per-endpoint (payload, ordered_at) delivery sequences.
 type EndpointLogs = Vec<Vec<(u32, u64)>>;
 
 /// Runs the same injection schedule through both models and returns
-/// per-endpoint (payload, processed_at) sequences.
+/// per-endpoint (payload, ordered_at) sequences.
 fn run_both(
     fabric: Fabric,
     link_ns: u64,
@@ -38,7 +40,9 @@ fn run_both(
         deadlines.push(fast.inject(Time::from_ns(t), NodeId(src), payload));
     }
     let last = deadlines.iter().max().copied().unwrap_or(Time::ZERO);
-    for d in fast.drain(last) {
+    let mut ds = Vec::new();
+    fast.drain_into(last, &mut ds);
+    for d in ds {
         fast_out[d.dest.index()].push((*d.payload, d.ordered_at.as_ns()));
     }
 
@@ -48,7 +52,7 @@ fn run_both(
             link_latency: Duration::from_ns(link_ns),
             link_occupancy: Duration::ZERO,
             initial_slack: slack,
-            plane: 0,
+            buffer_depth: u32::MAX,
             gt_origin: Gt::ZERO,
         },
     );
@@ -58,7 +62,7 @@ fn run_both(
     detailed.run_until(last + Duration::from_ns(20 * link_ns));
     let mut det_out: EndpointLogs = vec![Vec::new(); n];
     for d in detailed.take_deliveries() {
-        det_out[d.dest.index()].push((*d.payload, d.processed_at.as_ns()));
+        det_out[d.dest.index()].push((*d.payload, d.ordered_at.as_ns()));
     }
     (fast_out, det_out)
 }
@@ -129,7 +133,7 @@ fn detailed_net_survives_contention_where_fast_cannot_model_it() {
             link_latency: Duration::from_ns(15),
             link_occupancy: Duration::from_ns(30),
             initial_slack: 1,
-            plane: 0,
+            buffer_depth: u32::MAX,
             gt_origin: Gt::ZERO,
         },
     );
@@ -150,7 +154,7 @@ fn detailed_net_survives_contention_where_fast_cannot_model_it() {
 }
 
 /// Drives an [`AddressNet`] exactly the way `System`'s event loop does:
-/// poll `drain` at every `next_ready` hint, interleaved in time order with
+/// poll `drain_into` at every `next_ready` hint, interleaved in time order with
 /// the injections. Returns per-endpoint `(payload, ordering instant)`
 /// sequences.
 fn run_address_net(
@@ -181,7 +185,7 @@ fn run_address_net(
 }
 
 /// The tentpole equivalence claim, asserted byte for byte: through the
-/// [`AddressNet`] adapters, an **unloaded** (`link_occupancy = 0`)
+/// [`AddressNet`] trait, an **unloaded** (`link_occupancy = 0`)
 /// detailed token network with initial slack `S` produces the same
 /// per-endpoint `(payload, ordering instant)` sequences as the fast
 /// closed-form model configured with uniform link timing and slack
@@ -206,27 +210,26 @@ fn check_address_net_equivalence_from(
     let injections = schedule(seed, n, 40);
     let link = Duration::from_ns(15);
 
-    let mut fast = FastAddressNet::new(
+    let fast: &mut dyn AddressNet<u32> = &mut FastOrderedNet::new(
         Arc::new(fabric()),
         OrderedNetTiming {
             gt_origin: origin,
             ..OrderedNetTiming::uniform(link, slack + 1)
         },
     );
-    let mut detailed = DetailedAddressNet::new(
+    let detailed: &mut dyn AddressNet<u32> = &mut MultiPlaneNet::new(
         Arc::new(fabric()),
         DetailedNetConfig {
             link_latency: link,
             link_occupancy: Duration::ZERO,
             initial_slack: slack,
-            plane: 0, // the adapter drives every plane
+            buffer_depth: 64,
             gt_origin: origin,
         },
-        64,
     );
 
-    let f = run_address_net(&mut fast, &injections, n);
-    let d = run_address_net(&mut detailed, &injections, n);
+    let f = run_address_net(fast, &injections, n);
+    let d = run_address_net(detailed, &injections, n);
     assert_eq!(
         f, d,
         "unloaded detailed ordering instants must be byte-identical to the \
@@ -270,7 +273,6 @@ fn multi_plane_butterfly_matches_single_plane_order() {
     // The four-plane butterfly (round-robin injection + min-GT merge)
     // must produce the same per-endpoint total order as running the same
     // schedule through one plane.
-    use tss_net::MultiPlaneNet;
     let injections = schedule(21, 16, 30);
 
     let mut multi: MultiPlaneNet<u32> = MultiPlaneNet::new(
@@ -280,9 +282,10 @@ fn multi_plane_butterfly_matches_single_plane_order() {
     for &(t, src, payload) in &injections {
         multi.inject(Time::from_ns(t), NodeId(src), payload);
     }
-    multi.run_until(Time::from_ns(20_000));
+    let mut ds = Vec::new();
+    multi.drain_into(Time::from_ns(20_000), &mut ds);
     let mut multi_orders: Vec<Vec<u32>> = vec![Vec::new(); 16];
-    for d in multi.take_deliveries() {
+    for d in ds {
         multi_orders[d.dest.index()].push(*d.payload);
     }
 

@@ -141,7 +141,7 @@ fn token_network_total_order() {
                 link_latency: Duration::from_ns(15),
                 link_occupancy: Duration::from_ns(occupancy),
                 initial_slack: slack,
-                plane: 0,
+                buffer_depth: u32::MAX,
                 // Half the cases start just below the era rollover: the
                 // total order must be identical to a zero-origin run.
                 gt_origin: if case % 2 == 0 {
