@@ -171,3 +171,124 @@ fn writeback_pressure_with_tiny_caches() {
         );
     }
 }
+
+/// An eviction-heavy mix for 2-way 16-set caches: the private set is
+/// three times the cache, so dirty victims (and their writeback races)
+/// show up in every cell.
+fn eviction_spec() -> WorkloadSpec {
+    WorkloadSpec {
+        name: "engine-pin".into(),
+        ops_per_cpu: 280,
+        mean_gap: 60,
+        private_blocks_per_cpu: 96,
+        shared_ro_blocks: 16,
+        migratory_blocks: 12,
+        prodcons_blocks_per_cpu: 4,
+        lock_blocks: 2,
+        lock_protected_blocks: 3,
+        weights: ClassWeights {
+            private: 0.5,
+            shared_ro: 0.1,
+            migratory: 0.2,
+            prodcons: 0.1,
+            lock: 0.1,
+        },
+        private_write_fraction: 0.5,
+        private_hot_fraction: 0.3,
+        critical_section_len: 2,
+    }
+}
+
+/// Pins every engine's full run statistics by digest: all four
+/// protocols on both 16-node topologies over the fast address net, plus
+/// TS-Snoop on the contended detailed token net (the directory and
+/// Tardis engines never touch the address net). Any change to what an
+/// engine does — a hit counted differently, a writeback sent at another
+/// instant, one message more or less — moves a digest. Unlike
+/// `results/` and the pin fixtures, this covers Tardis.
+#[test]
+fn engine_stats_match_pinned_digests() {
+    use tss::NetworkModelSpec;
+    use tss_sim::hash::fingerprint128;
+    use ProtocolKind::{DirClassic, DirOpt, Tardis, TsSnoop};
+    use TopologyKind::{Butterfly16, Torus4x4};
+    let fast = NetworkModelSpec::Fast;
+    let detailed = NetworkModelSpec::detailed(5);
+    let cells = [
+        (
+            TsSnoop,
+            Butterfly16,
+            fast,
+            "586a0c3623b6ed703927f99652cf22ca",
+        ),
+        (TsSnoop, Torus4x4, fast, "fe81013c67d4ce09b3a63ab514840ff2"),
+        (
+            DirClassic,
+            Butterfly16,
+            fast,
+            "b5fb3d0c43ad9c5d2031f488908e3e7c",
+        ),
+        (
+            DirClassic,
+            Torus4x4,
+            fast,
+            "9d7a3dc929aadad239e355ce348ef00e",
+        ),
+        (
+            DirOpt,
+            Butterfly16,
+            fast,
+            "95e83f0b60c6e5b8ff62f58590a44d8b",
+        ),
+        (DirOpt, Torus4x4, fast, "9252192b505d9af01fdeed684719cfba"),
+        (
+            Tardis,
+            Butterfly16,
+            fast,
+            "caee651e7777a8c0e5bebe96ba49faf1",
+        ),
+        (Tardis, Torus4x4, fast, "3b5e830809129d6e5b2f8ae5723ea182"),
+        (
+            TsSnoop,
+            Butterfly16,
+            detailed,
+            "e5e767cea086b92a93a0580cf3c41dfd",
+        ),
+        (
+            TsSnoop,
+            Torus4x4,
+            detailed,
+            "6d3ffa1b24c21a369b0713afcd54b0db",
+        ),
+    ];
+    let mut moved = Vec::new();
+    for (protocol, topology, net, want) in cells {
+        let r = System::builder()
+            .protocol(protocol)
+            .topology(topology)
+            .network(net)
+            .cache(CacheConfig::tiny(16, 2))
+            .verify(true)
+            .seed(11)
+            .perturbation_ns(4)
+            .workload(eviction_spec())
+            .build()
+            .expect("engine pin configs are valid")
+            .run();
+        assert!(
+            r.stats.protocol.writebacks > 600,
+            "{protocol} on {topology:?}: the pin must exercise writebacks, got {}",
+            r.stats.protocol.writebacks
+        );
+        let json = serde_json::to_string(&r.stats).expect("stats serialize");
+        let digest = format!("{:032x}", fingerprint128(json.as_bytes()));
+        if digest != want {
+            moved.push(format!("{protocol} on {topology:?} ({net:?}): {digest}"));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "engine stats moved:\n{}",
+        moved.join("\n")
+    );
+}
