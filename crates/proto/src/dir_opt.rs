@@ -24,10 +24,10 @@ use tss_sim::{Duration, Time};
 
 use crate::cache::{CacheConfig, CacheState, L2Cache};
 use crate::dir_classic::DirTiming;
+use crate::engine::{self, data, put_m, send, Retire, WbLog};
 use crate::types::{
     Block, CpuOp, Msg, ProtoAction, ProtoEvent, Protocol, ProtocolStats, TxnKind, Vnet,
 };
-use crate::verify::ValueChecker;
 
 #[derive(Debug, Default)]
 struct DirBlock {
@@ -45,18 +45,6 @@ struct DirBlock {
     value: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WbState {
-    MiA,
-    IiA,
-}
-
-#[derive(Debug)]
-struct WbEntry {
-    state: WbState,
-    value: u64,
-}
-
 #[derive(Debug)]
 struct Mshr {
     block: Block,
@@ -69,7 +57,8 @@ struct Mshr {
 struct DirNode {
     cache: L2Cache,
     mshr: Option<Mshr>,
-    wb: FastMap<Block, VecDeque<WbEntry>>,
+    /// Outstanding writebacks, resolved by their PutAck.
+    wb: WbLog,
 }
 
 fn bit(n: NodeId) -> u64 {
@@ -96,8 +85,7 @@ pub struct DirOpt {
     nodes: Vec<DirNode>,
     dir: FastMap<Block, DirBlock>,
     timing: DirTiming,
-    stats: ProtocolStats,
-    checker: Option<ValueChecker>,
+    retire: Retire,
 }
 
 impl DirOpt {
@@ -113,45 +101,18 @@ impl DirOpt {
                 .map(|_| DirNode {
                     cache: L2Cache::new(cache),
                     mshr: None,
-                    wb: FastMap::default(),
+                    wb: WbLog::default(),
                 })
                 .collect(),
             dir: FastMap::default(),
             timing,
-            stats: ProtocolStats::default(),
-            checker: verify.then(ValueChecker::new),
+            retire: Retire::new(verify),
         }
     }
 
     /// Direct read access to a node's cache (diagnostics/tests).
     pub fn cache(&self, node: NodeId) -> &L2Cache {
         &self.nodes[node.index()].cache
-    }
-
-    fn send(
-        out: &mut Vec<ProtoAction>,
-        src: NodeId,
-        dst: NodeId,
-        msg: Msg,
-        vnet: Vnet,
-        delay: Duration,
-    ) {
-        out.push(ProtoAction::Send {
-            src,
-            dst,
-            msg,
-            vnet,
-            delay,
-        });
-    }
-
-    fn data_msg(block: Block, value: u64, from_cache: bool) -> Msg {
-        Msg::Data {
-            block,
-            value,
-            acks_expected: 0,
-            from_cache,
-        }
     }
 
     fn dir_request(
@@ -171,7 +132,7 @@ impl DirOpt {
                     // Three-hop: the owner supplies data and revises memory.
                     db.sharers |= bit(o) | bit(r);
                     db.rev_expected += 1;
-                    Self::send(
+                    send(
                         out,
                         home,
                         o,
@@ -192,14 +153,7 @@ impl DirOpt {
                 } else {
                     db.sharers |= bit(r);
                     let v = db.value;
-                    Self::send(
-                        out,
-                        home,
-                        r,
-                        Self::data_msg(block, v, false),
-                        Vnet::Data,
-                        d_mem,
-                    );
+                    send(out, home, r, data(block, v, false), Vnet::Data, d_mem);
                 }
             }
             TxnKind::GetM => {
@@ -212,7 +166,7 @@ impl DirOpt {
                 db.owner = Some(r);
                 for i in 0..self.n {
                     if to_inval & (1 << i) != 0 {
-                        Self::send(
+                        send(
                             out,
                             home,
                             NodeId(i as u16),
@@ -226,7 +180,7 @@ impl DirOpt {
                     }
                 }
                 if let Some(o) = old_owner {
-                    Self::send(
+                    send(
                         out,
                         home,
                         o,
@@ -243,14 +197,7 @@ impl DirOpt {
                     db.deferred.push_back((TxnKind::GetM, r, watermark));
                 } else {
                     let v = db.value;
-                    Self::send(
-                        out,
-                        home,
-                        r,
-                        Self::data_msg(block, v, false),
-                        Vnet::Data,
-                        d_mem,
-                    );
+                    send(out, home, r, data(block, v, false), Vnet::Data, d_mem);
                 }
             }
             TxnKind::PutM => {
@@ -261,7 +208,7 @@ impl DirOpt {
                     );
                     db.owner = None;
                     db.value = value;
-                    Self::send(
+                    send(
                         out,
                         home,
                         r,
@@ -273,7 +220,7 @@ impl DirOpt {
                         d_mem,
                     );
                 } else {
-                    Self::send(
+                    send(
                         out,
                         home,
                         r,
@@ -305,14 +252,7 @@ impl DirOpt {
             let v = db.value;
             match kind {
                 TxnKind::GetS | TxnKind::GetM => {
-                    Self::send(
-                        out,
-                        home,
-                        r,
-                        Self::data_msg(block, v, false),
-                        Vnet::Data,
-                        d_mem,
-                    );
+                    send(out, home, r, data(block, v, false), Vnet::Data, d_mem);
                 }
                 TxnKind::PutM => unreachable!("PutM is never deferred"),
             }
@@ -330,51 +270,31 @@ impl DirOpt {
         let d_cache = self.timing.d_cache;
         let home = block.home(self.n);
 
-        if let Some(entries) = self.nodes[me.index()].wb.get_mut(&block) {
-            if let Some(back) = entries.back_mut() {
-                if back.state == WbState::MiA {
-                    let value = back.value;
-                    back.state = WbState::IiA;
-                    Self::send(
-                        out,
-                        me,
-                        r,
-                        Self::data_msg(block, value, true),
-                        Vnet::Data,
-                        d_cache,
-                    );
-                    if kind == TxnKind::GetS {
-                        Self::send(
-                            out,
-                            me,
-                            home,
-                            Msg::Revision { block, value },
-                            Vnet::Data,
-                            d_cache,
-                        );
-                    }
-                    return;
-                }
+        if let Some(value) = self.nodes[me.index()].wb.serve_owned(block) {
+            send(out, me, r, data(block, value, true), Vnet::Data, d_cache);
+            if kind == TxnKind::GetS {
+                send(
+                    out,
+                    me,
+                    home,
+                    Msg::Revision { block, value },
+                    Vnet::Data,
+                    d_cache,
+                );
             }
+            return;
         }
 
         match self.nodes[me.index()].cache.state(block) {
             Some(CacheState::Modified) => {
                 let value = self.nodes[me.index()].cache.value(block).unwrap();
-                Self::send(
-                    out,
-                    me,
-                    r,
-                    Self::data_msg(block, value, true),
-                    Vnet::Data,
-                    d_cache,
-                );
+                send(out, me, r, data(block, value, true), Vnet::Data, d_cache);
                 match kind {
                     TxnKind::GetS => {
                         self.nodes[me.index()]
                             .cache
                             .set_state(block, CacheState::Shared);
-                        Self::send(
+                        send(
                             out,
                             me,
                             home,
@@ -411,25 +331,19 @@ impl DirOpt {
         let m = self.nodes[me.index()].mshr.take().expect("stray data");
         assert_eq!(m.block, block);
         if from_cache {
-            self.stats.cache_to_cache += 1;
+            self.retire.stats.cache_to_cache += 1;
         }
         match m.op {
             CpuOp::Load(_) => {
                 if !m.invalidated {
                     self.fill(me, block, CacheState::Shared, value, out);
                 }
-                if let Some(c) = self.checker.as_mut() {
-                    c.observe(me, block, value);
-                }
-                out.push(ProtoAction::Complete { node: me, value });
+                self.retire.load(me, block, value, out);
                 assert!(m.queued_fwds.is_empty(), "reader cannot receive forwards");
             }
             CpuOp::Store(_) | CpuOp::Rmw(_) => {
                 self.fill(me, block, CacheState::Modified, value + 1, out);
-                if let Some(c) = self.checker.as_mut() {
-                    c.observe_store(me, block, value);
-                }
-                out.push(ProtoAction::Complete { node: me, value });
+                self.retire.store(me, block, value, out);
                 let mut fwds = m.queued_fwds;
                 assert!(fwds.len() <= 1, "the directory serialises forwards");
                 if let Some((kind, r)) = fwds.pop_front() {
@@ -447,32 +361,9 @@ impl DirOpt {
         value: u64,
         out: &mut Vec<ProtoAction>,
     ) {
-        let victim = self.nodes[me.index()].cache.fill(block, state, value, None);
-        if let Some(v) = victim {
-            if v.dirty {
-                self.stats.writebacks += 1;
-                self.nodes[me.index()]
-                    .wb
-                    .entry(v.block)
-                    .or_default()
-                    .push_back(WbEntry {
-                        state: WbState::MiA,
-                        value: v.value,
-                    });
-                Self::send(
-                    out,
-                    me,
-                    v.block.home(self.n),
-                    Msg::DirReq {
-                        kind: TxnKind::PutM,
-                        block: v.block,
-                        requester: me,
-                        value: v.value,
-                    },
-                    Vnet::Request,
-                    Duration::ZERO,
-                );
-            }
+        let DirNode { cache, wb, .. } = &mut self.nodes[me.index()];
+        if let Some(v) = self.retire.fill(cache, wb, block, state, value) {
+            put_m(out, me, self.n, v);
         }
     }
 }
@@ -483,54 +374,35 @@ impl Protocol for DirOpt {
             self.nodes[node.index()].mshr.is_none(),
             "blocking CPU issued a second outstanding op"
         );
-        let block = op.block();
-        let state = self.nodes[node.index()].cache.touch(block);
-        match (op, state) {
-            (CpuOp::Load(_), Some(_)) => {
-                self.stats.hits += 1;
-                let value = self.nodes[node.index()].cache.value(block).unwrap();
-                if let Some(c) = self.checker.as_mut() {
-                    c.observe(node, block, value);
-                }
-                out.push(ProtoAction::Complete { node, value });
-            }
-            (CpuOp::Store(_) | CpuOp::Rmw(_), Some(CacheState::Modified)) => {
-                self.stats.hits += 1;
-                let old = self.nodes[node.index()].cache.value(block).unwrap();
-                self.nodes[node.index()].cache.write(block, old + 1);
-                if let Some(c) = self.checker.as_mut() {
-                    c.observe_store(node, block, old);
-                }
-                out.push(ProtoAction::Complete { node, value: old });
-            }
-            (op, _) => {
-                self.stats.misses += 1;
-                let kind = if op.is_write() {
-                    TxnKind::GetM
-                } else {
-                    TxnKind::GetS
-                };
-                self.nodes[node.index()].mshr = Some(Mshr {
-                    block,
-                    op,
-                    invalidated: false,
-                    queued_fwds: VecDeque::new(),
-                });
-                Self::send(
-                    out,
-                    node,
-                    block.home(self.n),
-                    Msg::DirReq {
-                        kind,
-                        block,
-                        requester: node,
-                        value: 0,
-                    },
-                    Vnet::Request,
-                    Duration::ZERO,
-                );
-            }
+        let DirNode { cache, mshr, .. } = &mut self.nodes[node.index()];
+        if self.retire.hit(cache, node, op, out) {
+            return;
         }
+        let block = op.block();
+        let kind = if op.is_write() {
+            TxnKind::GetM
+        } else {
+            TxnKind::GetS
+        };
+        *mshr = Some(Mshr {
+            block,
+            op,
+            invalidated: false,
+            queued_fwds: VecDeque::new(),
+        });
+        send(
+            out,
+            node,
+            block.home(self.n),
+            Msg::DirReq {
+                kind,
+                block,
+                requester: node,
+                value: 0,
+            },
+            Vnet::Request,
+            Duration::ZERO,
+        );
     }
 
     fn handle(&mut self, _now: Time, event: ProtoEvent, out: &mut Vec<ProtoAction>) {
@@ -585,12 +457,7 @@ impl Protocol for DirOpt {
                 self.revision(me, block, value, out);
             }
             Msg::PutAck { block, .. } => {
-                let node = &mut self.nodes[me.index()];
-                let entries = node.wb.get_mut(&block).expect("put-ack without writeback");
-                entries.pop_front().expect("writeback entry present");
-                if entries.is_empty() {
-                    node.wb.remove(&block);
-                }
+                self.nodes[me.index()].wb.resolve_oldest(block);
             }
             other => panic!("DirOpt received an unexpected message: {other:?}"),
         }
@@ -601,38 +468,23 @@ impl Protocol for DirOpt {
     }
 
     fn stats(&self) -> ProtocolStats {
-        self.stats
+        self.retire.stats
     }
 
     fn final_value(&self, block: Block) -> u64 {
-        for node in &self.nodes {
-            if node.cache.state(block) == Some(CacheState::Modified) {
-                return node.cache.value(block).unwrap();
-            }
-        }
-        self.dir.get(&block).map(|d| d.value).unwrap_or(0)
+        engine::modified_value(self.nodes.iter().map(|n| &n.cache), block)
+            .unwrap_or_else(|| self.dir.get(&block).map_or(0, |d| d.value))
     }
 
     fn check_lost_updates(&self) -> Result<(), String> {
-        let Some(c) = self.checker.as_ref() else {
-            return Ok(());
-        };
-        for block in c.written_blocks() {
-            let expect = c.stores_issued(block);
-            let got = self.final_value(block);
-            if got != expect {
-                return Err(format!(
-                    "lost update on {block}: {expect} stores issued but final value {got}"
-                ));
-            }
-        }
-        Ok(())
+        self.retire.check_lost_updates(|b| self.final_value(b))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::testkit::{deliver, run_op, sends};
 
     fn engine(n: usize) -> DirOpt {
         DirOpt::new(
@@ -641,62 +493,6 @@ mod tests {
             DirTiming::paper_default(),
             true,
         )
-    }
-
-    fn deliver(p: &mut DirOpt, dst: NodeId, msg: Msg) -> Vec<ProtoAction> {
-        let mut out = Vec::new();
-        p.handle(
-            Time::ZERO,
-            ProtoEvent::Delivered { dest: dst, msg },
-            &mut out,
-        );
-        out
-    }
-
-    fn sends(actions: &[ProtoAction]) -> Vec<(NodeId, NodeId, Msg)> {
-        actions
-            .iter()
-            .filter_map(|a| match a {
-                ProtoAction::Send { src, dst, msg, .. } => Some((*src, *dst, *msg)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn settle(p: &mut DirOpt, first: Vec<ProtoAction>) -> Vec<ProtoAction> {
-        let mut completions = Vec::new();
-        let mut queue: VecDeque<(NodeId, Msg)> =
-            sends(&first).into_iter().map(|(_, d, m)| (d, m)).collect();
-        for a in &first {
-            if let ProtoAction::Complete { .. } = a {
-                completions.push(a.clone());
-            }
-        }
-        while let Some((dst, msg)) = queue.pop_front() {
-            let acts = deliver(p, dst, msg);
-            for a in &acts {
-                match a {
-                    ProtoAction::Send { dst, msg, .. } => queue.push_back((*dst, *msg)),
-                    ProtoAction::Complete { .. } => completions.push(a.clone()),
-                    ProtoAction::Broadcast { .. } => panic!("directory protocols do not broadcast"),
-                }
-            }
-        }
-        completions
-    }
-
-    fn run_op(p: &mut DirOpt, node: NodeId, op: CpuOp) -> u64 {
-        let mut out = Vec::new();
-        p.cpu_op(Time::ZERO, node, op, &mut out);
-        let completions = settle(p, out);
-        assert_eq!(completions.len(), 1);
-        match completions[0] {
-            ProtoAction::Complete { node: n, value } => {
-                assert_eq!(n, node);
-                value
-            }
-            _ => unreachable!(),
-        }
     }
 
     #[test]

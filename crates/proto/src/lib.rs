@@ -21,6 +21,13 @@
 //! [`verify`] module detect lost updates and non-monotone observations on
 //! any workload.
 //!
+//! The paper's comparison holds the processor and cache model fixed and
+//! varies only the coherence mechanism, and so does the code: the
+//! requester side every engine shares — the MSI hit path, retirement of
+//! loads and stores through the checker, dirty-victim filling, the
+//! outstanding-writeback log and the lost-update check — lives once in a
+//! crate-private module, and each engine file holds only its mechanism.
+//!
 //! # Example
 //!
 //! ```
@@ -41,6 +48,7 @@
 mod cache;
 mod dir_classic;
 mod dir_opt;
+mod engine;
 mod snoop;
 mod tardis;
 mod types;

@@ -31,11 +31,11 @@ use tss_net::NodeId;
 use tss_sim::{Duration, Time};
 
 use crate::cache::{CacheConfig, CacheState, L2Cache};
+use crate::engine::{self, data, Retire, WbLog, WbState};
 use crate::types::{
     AddrTxn, Block, CpuOp, Msg, ProtoAction, ProtoEvent, Protocol, ProtocolStats, TxnKind, Vnet,
     WbKey,
 };
-use crate::verify::ValueChecker;
 
 /// Controller occupancy timing (Table 2).
 #[derive(Debug, Clone, Copy)]
@@ -104,30 +104,12 @@ struct Mshr {
     early_data: Option<(u64, bool)>,
 }
 
-/// Outstanding writeback (PutM issued, not yet ordered).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WbState {
-    /// Still the owner: will supply data (to a snooped request, or to
-    /// memory when the PutM is ordered).
-    MiA,
-    /// Ownership lost (someone's GETS/GETM ordered first, or an earlier
-    /// self-refetch consumed it): the PutM is stale.
-    IiA,
-}
-
-#[derive(Debug)]
-struct WbEntry {
-    state: WbState,
-    value: u64,
-}
-
 #[derive(Debug)]
 struct SnoopNode {
     cache: L2Cache,
     mshr: Option<Mshr>,
-    /// Outstanding writebacks, FIFO per block (a block can be evicted,
-    /// refetched and evicted again before the first PutM is ordered).
-    wb: FastMap<Block, VecDeque<WbEntry>>,
+    /// Outstanding writebacks, resolved when their PutM is ordered.
+    wb: WbLog,
 }
 
 /// One entry of memory's deferred log (per block).
@@ -213,8 +195,7 @@ pub struct TsSnoop {
     nodes: Vec<SnoopNode>,
     mem: FastMap<Block, MemBlock>,
     timing: SnoopTiming,
-    stats: ProtocolStats,
-    checker: Option<ValueChecker>,
+    retire: Retire,
 }
 
 impl TsSnoop {
@@ -227,13 +208,12 @@ impl TsSnoop {
                 .map(|_| SnoopNode {
                     cache: L2Cache::new(cache),
                     mshr: None,
-                    wb: FastMap::default(),
+                    wb: WbLog::default(),
                 })
                 .collect(),
             mem: FastMap::default(),
             timing,
-            stats: ProtocolStats::default(),
-            checker: verify.then(ValueChecker::new),
+            retire: Retire::new(verify),
         }
     }
 
@@ -242,61 +222,32 @@ impl TsSnoop {
         &self.nodes[node.index()].cache
     }
 
-    fn data_msg(block: Block, value: u64, from_cache: bool) -> Msg {
-        Msg::Data {
-            block,
-            value,
-            acks_expected: 0,
-            from_cache,
-        }
-    }
-
+    /// Every TS-Snoop message travels on the data network.
     fn send(out: &mut Vec<ProtoAction>, src: NodeId, dst: NodeId, msg: Msg, delay: Duration) {
-        out.push(ProtoAction::Send {
-            src,
-            dst,
-            msg,
-            vnet: Vnet::Data,
-            delay,
-        });
+        engine::send(out, src, dst, msg, Vnet::Data, delay);
     }
 
-    /// Fill the requesting node's cache and emit the eviction writeback if
-    /// the victim was dirty.
-    fn fill_and_maybe_writeback(
+    /// Fill the requesting node's cache and broadcast the PutM of a dirty
+    /// victim.
+    fn fill(
         &mut self,
-        now: Time,
         node: NodeId,
         block: Block,
         state: CacheState,
         value: u64,
         out: &mut Vec<ProtoAction>,
     ) {
-        let victim = self.nodes[node.index()]
-            .cache
-            .fill(block, state, value, None);
-        if let Some(v) = victim {
-            if v.dirty {
-                self.stats.writebacks += 1;
-                self.nodes[node.index()]
-                    .wb
-                    .entry(v.block)
-                    .or_default()
-                    .push_back(WbEntry {
-                        state: WbState::MiA,
-                        value: v.value,
-                    });
-                out.push(ProtoAction::Broadcast {
-                    src: node,
-                    txn: AddrTxn {
-                        kind: TxnKind::PutM,
-                        block: v.block,
-                        requester: node,
-                    },
-                });
-            }
+        let SnoopNode { cache, wb, .. } = &mut self.nodes[node.index()];
+        if let Some(v) = self.retire.fill(cache, wb, block, state, value) {
+            out.push(ProtoAction::Broadcast {
+                src: node,
+                txn: AddrTxn {
+                    kind: TxnKind::PutM,
+                    block: v.block,
+                    requester: node,
+                },
+            });
         }
-        let _ = now;
     }
 
     /// Memory-controller processing of an ordered transaction at the home
@@ -330,7 +281,7 @@ impl TsSnoop {
                             out,
                             home,
                             txn.requester,
-                            Self::data_msg(txn.block, value, false),
+                            data(txn.block, value, false),
                             delay,
                         );
                     } else {
@@ -349,7 +300,7 @@ impl TsSnoop {
                             out,
                             home,
                             txn.requester,
-                            Self::data_msg(txn.block, value, false),
+                            data(txn.block, value, false),
                             delay,
                         );
                     }
@@ -425,13 +376,7 @@ impl TsSnoop {
                         TxnKind::GetS => {
                             if mb.owned {
                                 let value = mb.value;
-                                Self::send(
-                                    out,
-                                    home,
-                                    r,
-                                    Self::data_msg(block, value, false),
-                                    d_mem,
-                                );
+                                Self::send(out, home, r, data(block, value, false), d_mem);
                             } else {
                                 // The owner chain serves this GetS and owes
                                 // memory a writeback: open the slot (it may
@@ -449,13 +394,7 @@ impl TsSnoop {
                             if mb.owned {
                                 let value = mb.value;
                                 mb.owned = false;
-                                Self::send(
-                                    out,
-                                    home,
-                                    r,
-                                    Self::data_msg(block, value, false),
-                                    d_mem,
-                                );
+                                Self::send(out, home, r, data(block, value, false), d_mem);
                             }
                             // else: the owner chain serves it; nothing owed.
                         }
@@ -483,7 +422,7 @@ impl TsSnoop {
                 .expect("owner just filled this block");
             match kind {
                 TxnKind::GetS => {
-                    Self::send(out, node, r, Self::data_msg(block, value, true), d_cache);
+                    Self::send(out, node, r, data(block, value, true), d_cache);
                     Self::send(
                         out,
                         node,
@@ -500,7 +439,7 @@ impl TsSnoop {
                         .set_state(block, CacheState::Shared);
                 }
                 TxnKind::GetM => {
-                    Self::send(out, node, r, Self::data_msg(block, value, true), d_cache);
+                    Self::send(out, node, r, data(block, value, true), d_cache);
                     self.nodes[node.index()].cache.invalidate(block);
                 }
                 TxnKind::PutM => unreachable!("PutM snoops are never queued"),
@@ -528,16 +467,7 @@ impl TsSnoop {
                     // Our own PutM reached its place in the order: resolve
                     // the oldest outstanding writeback for this block.
                     let home = txn.block.home(self.n);
-                    let node = &mut self.nodes[me.index()];
-                    let entries = node
-                        .wb
-                        .get_mut(&txn.block)
-                        .expect("own PutM without a writeback entry");
-                    let entry = entries.pop_front().expect("writeback entry present");
-                    let empty = entries.is_empty();
-                    if empty {
-                        node.wb.remove(&txn.block);
-                    }
+                    let entry = self.nodes[me.index()].wb.resolve_oldest(txn.block);
                     match entry.state {
                         WbState::MiA => Self::send(
                             out,
@@ -586,39 +516,32 @@ impl TsSnoop {
 
                 // 2) An outstanding writeback that still owns the data
                 // responds — including to our own refetch of the block.
-                let mut served = false;
-                if let Some(entries) = self.nodes[me.index()].wb.get_mut(&txn.block) {
-                    if let Some(back) = entries.back_mut() {
-                        if back.state == WbState::MiA {
-                            let value = back.value;
-                            back.state = WbState::IiA;
-                            served = true;
-                            Self::send(
-                                out,
-                                me,
-                                txn.requester,
-                                Self::data_msg(txn.block, value, !is_mine),
-                                cache_delay,
-                            );
-                            if txn.kind == TxnKind::GetS {
-                                Self::send(
-                                    out,
-                                    me,
-                                    txn.block.home(self.n),
-                                    Msg::WbData {
-                                        block: txn.block,
-                                        value,
-                                        key: WbKey::GetS(txn.requester),
-                                    },
-                                    cache_delay,
-                                );
-                            }
-                        }
+                let served = self.nodes[me.index()].wb.serve_owned(txn.block);
+                if let Some(value) = served {
+                    Self::send(
+                        out,
+                        me,
+                        txn.requester,
+                        data(txn.block, value, !is_mine),
+                        cache_delay,
+                    );
+                    if txn.kind == TxnKind::GetS {
+                        Self::send(
+                            out,
+                            me,
+                            txn.block.home(self.n),
+                            Msg::WbData {
+                                block: txn.block,
+                                value,
+                                key: WbKey::GetS(txn.requester),
+                            },
+                            cache_delay,
+                        );
                     }
                 }
 
                 // 3) Stable-state reactions.
-                if !served {
+                if served.is_none() {
                     match self.nodes[me.index()].cache.state(txn.block) {
                         Some(CacheState::Modified) => {
                             debug_assert!(!is_mine, "a hit would not have broadcast");
@@ -630,7 +553,7 @@ impl TsSnoop {
                                 out,
                                 me,
                                 txn.requester,
-                                Self::data_msg(txn.block, value, true),
+                                data(txn.block, value, true),
                                 cache_delay,
                             );
                             match txn.kind {
@@ -685,7 +608,7 @@ impl TsSnoop {
                 }
                 // Now that we are ordered, consume a parked early response.
                 if let Some((value, from_cache)) = early_data {
-                    self.data_arrived(now, me, txn.block, value, from_cache, out);
+                    self.data_arrived(me, txn.block, value, from_cache, out);
                 }
                 return;
             }
@@ -699,7 +622,6 @@ impl TsSnoop {
 
     fn data_arrived(
         &mut self,
-        now: Time,
         me: NodeId,
         block: Block,
         value: u64,
@@ -724,36 +646,21 @@ impl TsSnoop {
             .expect("data without an outstanding miss");
         assert_eq!(m.block, block, "data for the wrong block");
         if from_cache {
-            self.stats.cache_to_cache += 1;
+            self.retire.stats.cache_to_cache += 1;
         }
         match m.state {
             MshrState::IsD => {
-                let observed = value;
-                if m.invalidated {
-                    // Use the value once (the load is ordered before the
-                    // invalidating GETM), do not cache it.
-                } else {
-                    self.fill_and_maybe_writeback(now, me, block, CacheState::Shared, value, out);
+                // An invalidated load uses the value once (it is ordered
+                // before the invalidating GETM) without caching it.
+                if !m.invalidated {
+                    self.fill(me, block, CacheState::Shared, value, out);
                 }
-                if let Some(c) = self.checker.as_mut() {
-                    c.observe(me, block, observed);
-                }
-                out.push(ProtoAction::Complete {
-                    node: me,
-                    value: observed,
-                });
+                self.retire.load(me, block, value, out);
             }
             MshrState::ImD => {
-                let observed = value;
-                let new_value = value + 1; // stores increment (verification)
-                self.fill_and_maybe_writeback(now, me, block, CacheState::Modified, new_value, out);
-                if let Some(c) = self.checker.as_mut() {
-                    c.observe_store(me, block, observed);
-                }
-                out.push(ProtoAction::Complete {
-                    node: me,
-                    value: observed,
-                });
+                // Stores increment (verification).
+                self.fill(me, block, CacheState::Modified, value + 1, out);
+                self.retire.store(me, block, value, out);
                 let mut queued = m.queued;
                 self.drain_one_queued(me, block, &mut queued, out);
             }
@@ -768,62 +675,38 @@ impl Protocol for TsSnoop {
             self.nodes[node.index()].mshr.is_none(),
             "blocking CPU issued a second outstanding op"
         );
-        let block = op.block();
-        let state = self.nodes[node.index()].cache.touch(block);
-        match (op, state) {
-            (CpuOp::Load(_), Some(_)) => {
-                self.stats.hits += 1;
-                let value = self.nodes[node.index()].cache.value(block).unwrap();
-                if let Some(c) = self.checker.as_mut() {
-                    c.observe(node, block, value);
-                }
-                out.push(ProtoAction::Complete { node, value });
-            }
-            (CpuOp::Store(_) | CpuOp::Rmw(_), Some(CacheState::Modified)) => {
-                self.stats.hits += 1;
-                let old = self.nodes[node.index()].cache.value(block).unwrap();
-                self.nodes[node.index()].cache.write(block, old + 1);
-                if let Some(c) = self.checker.as_mut() {
-                    c.observe_store(node, block, old);
-                }
-                out.push(ProtoAction::Complete { node, value: old });
-            }
-            (op, prior) => {
-                // Miss: GETS for loads, GETM for stores (including
-                // upgrades from S — MSI without a separate upgrade
-                // transaction, symmetric across all three protocols).
-                self.stats.misses += 1;
-                let kind = if op.is_write() {
-                    TxnKind::GetM
-                } else {
-                    TxnKind::GetS
-                };
-                let state = if op.is_write() {
-                    MshrState::ImAd
-                } else {
-                    MshrState::IsAd
-                };
-                debug_assert!(
-                    !(kind == TxnKind::GetS && prior.is_some()),
-                    "loads only miss when absent"
-                );
-                self.nodes[node.index()].mshr = Some(Mshr {
-                    block,
-                    state,
-                    invalidated: false,
-                    queued: VecDeque::new(),
-                    early_data: None,
-                });
-                out.push(ProtoAction::Broadcast {
-                    src: node,
-                    txn: AddrTxn {
-                        kind,
-                        block,
-                        requester: node,
-                    },
-                });
-            }
+        let SnoopNode { cache, mshr, .. } = &mut self.nodes[node.index()];
+        if self.retire.hit(cache, node, op, out) {
+            return;
         }
+        // Miss: GETS for loads, GETM for stores (including upgrades from
+        // S — MSI without a separate upgrade transaction, symmetric across
+        // all three protocols).
+        let block = op.block();
+        let (kind, state) = if op.is_write() {
+            (TxnKind::GetM, MshrState::ImAd)
+        } else {
+            (TxnKind::GetS, MshrState::IsAd)
+        };
+        debug_assert!(
+            !(kind == TxnKind::GetS && cache.state(block).is_some()),
+            "loads only miss when absent"
+        );
+        *mshr = Some(Mshr {
+            block,
+            state,
+            invalidated: false,
+            queued: VecDeque::new(),
+            early_data: None,
+        });
+        out.push(ProtoAction::Broadcast {
+            src: node,
+            txn: AddrTxn {
+                kind,
+                block,
+                requester: node,
+            },
+        });
     }
 
     fn handle(&mut self, now: Time, event: ProtoEvent, out: &mut Vec<ProtoAction>) {
@@ -837,7 +720,7 @@ impl Protocol for TsSnoop {
                     value,
                     from_cache,
                     ..
-                } => self.data_arrived(now, dest, block, value, from_cache, out),
+                } => self.data_arrived(dest, block, value, from_cache, out),
                 Msg::WbData { block, value, key } => {
                     debug_assert_eq!(dest, block.home(self.n));
                     self.memory_wb(dest, block, key, Some(value), out)
@@ -856,16 +739,12 @@ impl Protocol for TsSnoop {
     }
 
     fn stats(&self) -> ProtocolStats {
-        self.stats
+        self.retire.stats
     }
 
     fn final_value(&self, block: Block) -> u64 {
-        for node in &self.nodes {
-            if node.cache.state(block) == Some(CacheState::Modified) {
-                return node.cache.value(block).unwrap();
-            }
-        }
-        self.mem.get(&block).map(|m| m.value).unwrap_or(0)
+        engine::modified_value(self.nodes.iter().map(|n| &n.cache), block)
+            .unwrap_or_else(|| self.mem.get(&block).map_or(0, |m| m.value))
     }
 
     fn check_lost_updates(&self) -> Result<(), String> {
@@ -878,25 +757,14 @@ impl Protocol for TsSnoop {
                 ));
             }
         }
-        let Some(c) = self.checker.as_ref() else {
-            return Ok(());
-        };
-        for block in c.written_blocks() {
-            let expect = c.stores_issued(block);
-            let got = self.final_value(block);
-            if got != expect {
-                return Err(format!(
-                    "lost update on {block}: {expect} stores issued but final value {got}"
-                ));
-            }
-        }
-        Ok(())
+        self.retire.check_lost_updates(|b| self.final_value(b))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::testkit::sends;
 
     fn engine(n: usize) -> TsSnoop {
         TsSnoop::new(
@@ -942,16 +810,6 @@ mod tests {
                 _ => None,
             })
             .expect("expected a broadcast")
-    }
-
-    fn sends(actions: &[ProtoAction]) -> Vec<(NodeId, NodeId, Msg)> {
-        actions
-            .iter()
-            .filter_map(|a| match a {
-                ProtoAction::Send { src, dst, msg, .. } => Some((*src, *dst, *msg)),
-                _ => None,
-            })
-            .collect()
     }
 
     #[test]

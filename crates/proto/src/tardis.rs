@@ -43,10 +43,10 @@ use tss_sim::{Duration, Gt, Time};
 
 use crate::cache::{CacheConfig, CacheState, L2Cache};
 use crate::dir_classic::DirTiming;
+use crate::engine::{data, put_m, send, Retire};
 use crate::types::{
     Block, CpuOp, Msg, ProtoAction, ProtoEvent, Protocol, ProtocolStats, TxnKind, Vnet,
 };
-use crate::verify::ValueChecker;
 
 /// Lease length in logical ticks. Logical time only advances on stores
 /// (each store moves `wts` past the block's `rts`), so this is measured
@@ -139,8 +139,7 @@ pub struct Tardis {
     home: FastMap<Block, HomeBlock>,
     timing: DirTiming,
     origin: Gt,
-    stats: ProtocolStats,
-    checker: Option<ValueChecker>,
+    retire: Retire,
 }
 
 impl Tardis {
@@ -163,8 +162,7 @@ impl Tardis {
             home: FastMap::default(),
             timing,
             origin,
-            stats: ProtocolStats::default(),
-            checker: verify.then(ValueChecker::new),
+            retire: Retire::new(verify),
         }
     }
 
@@ -176,32 +174,6 @@ impl Tardis {
     /// A node's current program timestamp (diagnostics/tests).
     pub fn pts(&self, node: NodeId) -> Gt {
         self.nodes[node.index()].pts
-    }
-
-    fn send(
-        out: &mut Vec<ProtoAction>,
-        src: NodeId,
-        dst: NodeId,
-        msg: Msg,
-        vnet: Vnet,
-        delay: Duration,
-    ) {
-        out.push(ProtoAction::Send {
-            src,
-            dst,
-            msg,
-            vnet,
-            delay,
-        });
-    }
-
-    fn data_msg(block: Block, value: u64, from_cache: bool) -> Msg {
-        Msg::Data {
-            block,
-            value,
-            acks_expected: 0,
-            from_cache,
-        }
     }
 
     fn home_mut(home: &mut FastMap<Block, HomeBlock>, origin: Gt, block: Block) -> &mut HomeBlock {
@@ -227,7 +199,7 @@ impl Tardis {
             }
         }
         hb.rts = end;
-        self.stats.leases_granted += 1;
+        self.retire.stats.leases_granted += 1;
         self.nodes[r.index()].pending_lease = Some((hb.wts, end));
     }
 
@@ -248,9 +220,7 @@ impl Tardis {
         let old = hb.value;
         hb.value = old + 1;
         self.nodes[node.index()].pts = wts;
-        if let Some(c) = self.checker.as_mut() {
-            c.observe_store(node, block, old);
-        }
+        self.retire.observe_store(node, block, old);
         old
     }
 
@@ -271,7 +241,7 @@ impl Tardis {
                     Some(o) if o != r => {
                         // Owned: three-hop. The owner downgrades and
                         // supplies the data; the lease is granted there.
-                        Self::send(
+                        send(
                             out,
                             home,
                             o,
@@ -290,14 +260,7 @@ impl Tardis {
                         hb.owner = None;
                         self.grant_lease(block, r);
                         let v = self.home[&block].value;
-                        Self::send(
-                            out,
-                            home,
-                            r,
-                            Self::data_msg(block, v, false),
-                            Vnet::Data,
-                            d_mem,
-                        );
+                        send(out, home, r, data(block, v, false), Vnet::Data, d_mem);
                     }
                 }
             }
@@ -309,7 +272,7 @@ impl Tardis {
                 hb.owner = Some(r);
                 match old_owner {
                     Some(o) if o != r => {
-                        Self::send(
+                        send(
                             out,
                             home,
                             o,
@@ -324,14 +287,7 @@ impl Tardis {
                     }
                     _ => {
                         let v = hb.value;
-                        Self::send(
-                            out,
-                            home,
-                            r,
-                            Self::data_msg(block, v, false),
-                            Vnet::Data,
-                            d_mem,
-                        );
+                        send(out, home, r, data(block, v, false), Vnet::Data, d_mem);
                     }
                 }
             }
@@ -356,7 +312,7 @@ impl Tardis {
                     // evict again) may carry an older version.
                     debug_assert!(hb.value >= value, "writeback newer than home");
                 }
-                Self::send(
+                send(
                     out,
                     home,
                     r,
@@ -405,14 +361,7 @@ impl Tardis {
                 }
                 self.grant_lease(block, r);
                 let v = self.home[&block].value;
-                Self::send(
-                    out,
-                    me,
-                    r,
-                    Self::data_msg(block, v, true),
-                    Vnet::Data,
-                    d_cache,
-                );
+                send(out, me, r, data(block, v, true), Vnet::Data, d_cache);
             }
             TxnKind::GetM => {
                 // A newer writer has been serialised at home. Drop any
@@ -427,14 +376,7 @@ impl Tardis {
                 self.nodes[me.index()].cache.invalidate(block);
                 self.nodes[me.index()].leases.remove(&block);
                 let v = Self::home_mut(&mut self.home, self.origin, block).value;
-                Self::send(
-                    out,
-                    me,
-                    r,
-                    Self::data_msg(block, v, true),
-                    Vnet::Data,
-                    d_cache,
-                );
+                send(out, me, r, data(block, v, true), Vnet::Data, d_cache);
             }
             TxnKind::PutM => unreachable!("PutM is never forwarded"),
         }
@@ -451,7 +393,7 @@ impl Tardis {
         let m = self.nodes[me.index()].mshr.take().expect("stray data");
         assert_eq!(m.block, block);
         if from_cache {
-            self.stats.cache_to_cache += 1;
+            self.retire.stats.cache_to_cache += 1;
         }
         match m.op {
             CpuOp::Load(_) => {
@@ -466,10 +408,7 @@ impl Tardis {
                 if wts > self.nodes[me.index()].pts {
                     self.nodes[me.index()].pts = wts;
                 }
-                if let Some(c) = self.checker.as_mut() {
-                    c.observe(me, block, value);
-                }
-                out.push(ProtoAction::Complete { node: me, value });
+                self.retire.load(me, block, value, out);
             }
             CpuOp::Store(_) | CpuOp::Rmw(_) => {
                 // The slot comes from home's authoritative value at
@@ -501,27 +440,15 @@ impl Tardis {
         if let Some(v) = victim {
             self.nodes[me.index()].leases.remove(&v.block);
             if v.dirty {
-                self.stats.writebacks += 1;
+                self.retire.stats.writebacks += 1;
                 *self.nodes[me.index()].wb.entry(v.block).or_insert(0) += 1;
-                Self::send(
-                    out,
-                    me,
-                    v.block.home(self.n),
-                    Msg::DirReq {
-                        kind: TxnKind::PutM,
-                        block: v.block,
-                        requester: me,
-                        value: v.value,
-                    },
-                    Vnet::Request,
-                    Duration::ZERO,
-                );
+                put_m(out, me, self.n, v);
             }
         }
     }
 
     fn miss(&mut self, node: NodeId, op: CpuOp, out: &mut Vec<ProtoAction>) {
-        self.stats.misses += 1;
+        self.retire.stats.misses += 1;
         let block = op.block();
         let kind = if op.is_write() {
             TxnKind::GetM
@@ -533,7 +460,7 @@ impl Tardis {
             op,
             invalidated: false,
         });
-        Self::send(
+        send(
             out,
             node,
             block.home(self.n),
@@ -561,7 +488,7 @@ impl Protocol for Tardis {
             (CpuOp::Load(_), Some(CacheState::Modified)) => {
                 // Owner read: always valid; reading our own version
                 // extends the block's read horizon to our pts.
-                self.stats.hits += 1;
+                self.retire.stats.hits += 1;
                 let pts = self.nodes[node.index()].pts;
                 let hb = Self::home_mut(&mut self.home, self.origin, block);
                 if pts > hb.rts {
@@ -571,34 +498,28 @@ impl Protocol for Tardis {
                     self.nodes[node.index()].pts = hb.wts;
                 }
                 let value = self.nodes[node.index()].cache.value(block).unwrap();
-                if let Some(c) = self.checker.as_mut() {
-                    c.observe(node, block, value);
-                }
-                out.push(ProtoAction::Complete { node, value });
+                self.retire.load(node, block, value, out);
             }
             (CpuOp::Load(_), Some(CacheState::Shared)) => {
                 let lease = self.nodes[node.index()].leases[&block];
                 if self.nodes[node.index()].pts <= lease.end {
                     // Live lease: hit, possibly on data newer than pts.
-                    self.stats.hits += 1;
+                    self.retire.stats.hits += 1;
                     if lease.wts > self.nodes[node.index()].pts {
                         self.nodes[node.index()].pts = lease.wts;
                     }
                     let value = self.nodes[node.index()].cache.value(block).unwrap();
-                    if let Some(c) = self.checker.as_mut() {
-                        c.observe(node, block, value);
-                    }
-                    out.push(ProtoAction::Complete { node, value });
+                    self.retire.load(node, block, value, out);
                 } else {
                     // Expired: the copy is not invalid, just too old to
                     // read at this pts — renew from home.
-                    self.stats.lease_renewals += 1;
+                    self.retire.stats.lease_renewals += 1;
                     self.miss(node, op, out);
                 }
             }
             (CpuOp::Store(_) | CpuOp::Rmw(_), Some(CacheState::Modified)) => {
                 // The Tardis headline: an owned write is message-free.
-                self.stats.hits += 1;
+                self.retire.stats.hits += 1;
                 let old = self.commit_store(node, block);
                 self.nodes[node.index()].cache.write(block, old + 1);
                 out.push(ProtoAction::Complete { node, value: old });
@@ -653,7 +574,7 @@ impl Protocol for Tardis {
     }
 
     fn stats(&self) -> ProtocolStats {
-        self.stats
+        self.retire.stats
     }
 
     fn final_value(&self, block: Block) -> u64 {
@@ -663,26 +584,14 @@ impl Protocol for Tardis {
     }
 
     fn check_lost_updates(&self) -> Result<(), String> {
-        let Some(c) = self.checker.as_ref() else {
-            return Ok(());
-        };
-        for block in c.written_blocks() {
-            let expect = c.stores_issued(block);
-            let got = self.final_value(block);
-            if got != expect {
-                return Err(format!(
-                    "lost update on {block}: {expect} stores issued but final value {got}"
-                ));
-            }
-        }
-        Ok(())
+        self.retire.check_lost_updates(|b| self.final_value(b))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
+    use crate::engine::testkit::{deliver, run_op, sends};
 
     fn engine(n: usize) -> Tardis {
         engine_from(n, Gt::ZERO)
@@ -696,62 +605,6 @@ mod tests {
             true,
             origin,
         )
-    }
-
-    fn deliver(p: &mut Tardis, dst: NodeId, msg: Msg) -> Vec<ProtoAction> {
-        let mut out = Vec::new();
-        p.handle(
-            Time::ZERO,
-            ProtoEvent::Delivered { dest: dst, msg },
-            &mut out,
-        );
-        out
-    }
-
-    fn sends(actions: &[ProtoAction]) -> Vec<(NodeId, NodeId, Msg)> {
-        actions
-            .iter()
-            .filter_map(|a| match a {
-                ProtoAction::Send { src, dst, msg, .. } => Some((*src, *dst, *msg)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn settle(p: &mut Tardis, first: Vec<ProtoAction>) -> Vec<ProtoAction> {
-        let mut completions = Vec::new();
-        let mut queue: VecDeque<(NodeId, Msg)> =
-            sends(&first).into_iter().map(|(_, d, m)| (d, m)).collect();
-        for a in &first {
-            if let ProtoAction::Complete { .. } = a {
-                completions.push(a.clone());
-            }
-        }
-        while let Some((dst, msg)) = queue.pop_front() {
-            let acts = deliver(p, dst, msg);
-            for a in &acts {
-                match a {
-                    ProtoAction::Send { dst, msg, .. } => queue.push_back((*dst, *msg)),
-                    ProtoAction::Complete { .. } => completions.push(a.clone()),
-                    ProtoAction::Broadcast { .. } => panic!("Tardis never broadcasts"),
-                }
-            }
-        }
-        completions
-    }
-
-    fn run_op(p: &mut Tardis, node: NodeId, op: CpuOp) -> u64 {
-        let mut out = Vec::new();
-        p.cpu_op(Time::ZERO, node, op, &mut out);
-        let completions = settle(p, out);
-        assert_eq!(completions.len(), 1);
-        match completions[0] {
-            ProtoAction::Complete { node: n, value } => {
-                assert_eq!(n, node);
-                value
-            }
-            _ => unreachable!(),
-        }
     }
 
     #[test]
