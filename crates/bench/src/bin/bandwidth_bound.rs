@@ -30,8 +30,7 @@ fn row(label: &str, fabric: &Fabric, block: u64) {
 }
 
 fn main() {
-    let cli = Cli::parse();
-    cli.forbid_remote("bandwidth_bound");
+    let cli = Cli::parse("bandwidth_bound", &["--shard", "--resume"]);
     println!("Section 5 bandwidth accounting (per miss, link-bytes)");
     println!(
         "{:<34} {:>6} {:>10} {:>10} {:>10}",

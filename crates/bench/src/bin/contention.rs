@@ -39,12 +39,10 @@ use tss_sim::Duration;
 use tss_workloads::paper;
 
 fn main() {
-    let cli = Cli::parse();
     // The emitted report interleaves two grids (fast baseline + sweep),
     // so it is not one round-robin slice of one grid and cannot shard;
     // --resume still works (both sub-grids run through the shared store).
-    cli.forbid_shard("contention");
-    cli.forbid_remote("contention");
+    let cli = Cli::parse("contention", &["--resume"]);
     let detailed = |occ: u64, slack: u64| NetworkModelSpec::Detailed {
         link_occupancy: Duration::from_ns(occ),
         initial_slack: slack,

@@ -13,8 +13,7 @@ use tss::ProtocolKind;
 use tss_bench::Cli;
 
 fn main() {
-    let cli = Cli::parse();
-    cli.forbid_remote("fig3");
+    let cli = Cli::parse("fig3", &["--shard", "--resume"]);
     // Normalise to TS-Snoop when present (the paper's baseline), else to
     // the first protocol the user asked for.
     let baseline = if cli.protocols.contains(&ProtocolKind::TsSnoop) {

@@ -10,8 +10,7 @@ use tss::ProtocolKind;
 use tss_bench::Cli;
 
 fn main() {
-    let cli = Cli::parse();
-    cli.forbid_remote("fig4");
+    let cli = Cli::parse("fig4", &["--shard", "--resume"]);
     // Normalise to TS-Snoop when present (the paper's baseline), else to
     // the first protocol the user asked for.
     let baseline = if cli.protocols.contains(&ProtocolKind::TsSnoop) {

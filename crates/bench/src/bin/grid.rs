@@ -82,7 +82,7 @@ fn run_local(cli: &Cli) -> tss::GridReport {
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse("grid", &["--shard", "--resume", "--remote"]);
     let report = match &cli.remote {
         Some(url) => run_remote(&cli, url),
         None => run_local(&cli),

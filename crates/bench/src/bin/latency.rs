@@ -45,12 +45,9 @@ fn memory_stats(protocol: tss::ProtocolKind, topology: tss::TopologyKind) -> Sys
 }
 
 fn main() {
-    let cli = Cli::parse();
     // Cells here are hand-measured microbenchmarks, not grid cells:
     // neither content addressing nor sharding applies.
-    cli.forbid_shard("latency");
-    cli.forbid_resume("latency");
-    cli.forbid_remote("latency");
+    let cli = Cli::parse("latency", &[]);
     println!("Single-miss latencies (unloaded; Table 2's measured counterparts)\n");
     println!(
         "{:<12} {:<12} {:>16} {:>16}",

@@ -14,8 +14,7 @@ use tss_bench::Cli;
 use tss_workloads::paper;
 
 fn main() {
-    let mut cli = Cli::parse();
-    cli.forbid_remote("scaling");
+    let mut cli = Cli::parse("scaling", &["--shard", "--resume"]);
     cli.scale = cli.scale.min(1.0 / 128.0); // keep 64-node runs snappy
     println!(
         "System-size scaling: OLTP at scale {:.4}, torus fabrics, TS-Snoop vs DirOpt",

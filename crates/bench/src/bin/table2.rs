@@ -79,12 +79,9 @@ fn measured_memory(protocol: ProtocolKind, topology: TopologyKind) -> (f64, Syst
 }
 
 fn main() {
-    let cli = Cli::parse();
     // Cells here are hand-measured single-miss probes, not grid cells:
     // neither content addressing nor sharding applies.
-    cli.forbid_shard("table2");
-    cli.forbid_resume("table2");
-    cli.forbid_remote("table2");
+    let cli = Cli::parse("table2", &[]);
     let timing = Timing::default();
     println!("Table 2: Unloaded Network Timing Assumptions");
     println!("  Assumed: D_ovh=4ns  D_switch=15ns  D_mem=80ns  D_cache=25ns\n");

@@ -11,8 +11,7 @@ use tss::{ProtocolKind, TopologyKind};
 use tss_bench::Cli;
 
 fn main() {
-    let cli = Cli::parse();
-    cli.forbid_remote("table3");
+    let cli = Cli::parse("table3", &["--shard", "--resume"]);
     println!(
         "Table 3: Benchmark Characteristics (scale {:.4})",
         cli.scale

@@ -46,7 +46,7 @@ pub struct Cli {
     pub gt_origin: u64,
     /// `--remote <url>`: submit the grid to a running `sweep-server`
     /// instead of simulating locally. The artifact is byte-identical to
-    /// a local run; only `grid` accepts it (see [`Cli::forbid_remote`]).
+    /// a local run; only `grid` accepts it (see [`Cli::parse_from`]).
     pub remote: Option<String>,
     /// Where to write the run's [`GridReport`] JSON, if anywhere.
     pub json: Option<PathBuf>,
@@ -111,11 +111,12 @@ options:
   --help              print this message";
 
 impl Cli {
-    /// Parses `std::env::args`, printing usage and exiting on error or
-    /// `--help`.
-    pub fn parse() -> Cli {
+    /// Parses `std::env::args` for binary `bin`, which takes whichever of
+    /// `--shard`, `--resume` and `--remote` are named in `accepts`;
+    /// prints usage and exits on error or `--help`.
+    pub fn parse(bin: &str, accepts: &[&str]) -> Cli {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match Cli::parse_from(&args) {
+        match Cli::parse_from(bin, accepts, &args) {
             Ok(cli) => cli,
             Err(msg) => {
                 if msg == "help" {
@@ -129,7 +130,30 @@ impl Cli {
     }
 
     /// Parses an explicit argument list (testable core of [`Cli::parse`]).
-    pub fn parse_from(args: &[String]) -> Result<Cli, String> {
+    ///
+    /// `accepts` is binary `bin`'s declaration of which of `--shard`,
+    /// `--resume` and `--remote` it honours; the others are refused, not
+    /// silently ignored:
+    ///
+    /// * `--shard`: a composite report (several grids, or hand-measured
+    ///   cells) is not one round-robin slice of one grid, so its parts
+    ///   could neither merge nor safely pose as complete reports;
+    /// * `--resume`: a binary that measures its cells outside
+    ///   [`Cli::grid`] has nothing to cache, and ignoring the flag would
+    ///   let the user believe finished work was being reused;
+    /// * `--remote`: only `grid` ships its cells to a sweep-server as-is;
+    ///   the other binaries post-process their cells locally.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `accepts` names any other flag (a bug in the binary).
+    pub fn parse_from(bin: &str, accepts: &[&str], args: &[String]) -> Result<Cli, String> {
+        for flag in accepts {
+            assert!(
+                ["--shard", "--resume", "--remote"].contains(flag),
+                "{bin} declares {flag}, which is not an optional capability"
+            );
+        }
         let mut cli = Cli::default();
         let mut explicit_net: Option<NetworkModelSpec> = None;
         let mut contention_ns: Option<u64> = None;
@@ -242,6 +266,25 @@ impl Cli {
                 buffer_depth,
             },
         };
+        if cli.shard.1 > 1 && !accepts.contains(&"--shard") {
+            return Err(format!(
+                "{bin} assembles a composite report that cannot be sharded; \
+                 use the single-grid binaries (grid, fig3, fig4, scaling, table3, \
+                 bandwidth_bound) with --shard, or run {bin} unsharded"
+            ));
+        }
+        if cli.resume.is_some() && !accepts.contains(&"--resume") {
+            return Err(format!(
+                "{bin} measures its cells outside the experiment grid, so \
+                 --resume has nothing to cache; drop the flag"
+            ));
+        }
+        if cli.remote.is_some() && !accepts.contains(&"--remote") {
+            return Err(format!(
+                "{bin} does not speak to a sweep-server; use \
+                 `grid --remote` for remote sweeps"
+            ));
+        }
         // Surface bad workload names at parse time, not after a sweep.
         cli.paper_workloads()?;
         // A sharded run that writes neither a partial report nor a cell
@@ -270,48 +313,6 @@ impl Cli {
             }
         }
         Ok(cli)
-    }
-
-    /// Aborts (exit 2) when `--shard` was given to a binary whose report
-    /// is assembled from multiple grids or hand-measured cells: such a
-    /// composite is not one round-robin slice of one grid, so its parts
-    /// could neither merge nor safely pose as complete reports.
-    pub fn forbid_shard(&self, bin: &str) {
-        if self.shard.1 > 1 {
-            eprintln!(
-                "error: {bin} assembles a composite report that cannot be sharded; \
-                 use the single-grid binaries (grid, fig3, fig4, scaling, table3, \
-                 bandwidth_bound) with --shard, or run {bin} unsharded"
-            );
-            std::process::exit(2);
-        }
-    }
-
-    /// Aborts (exit 2) when `--resume` was given to a binary that runs
-    /// its cells outside [`Cli::grid`]: silently ignoring the flag would
-    /// let the user believe finished work was being cached.
-    pub fn forbid_resume(&self, bin: &str) {
-        if self.resume.is_some() {
-            eprintln!(
-                "error: {bin} measures its cells outside the experiment grid, so \
-                 --resume has nothing to cache; drop the flag"
-            );
-            std::process::exit(2);
-        }
-    }
-
-    /// Aborts (exit 2) when `--remote` was given to a binary other than
-    /// `grid`: the composite and fixed-axis binaries post-process their
-    /// cells locally, so shipping the grid to a sweep-server would change
-    /// what the binary means, not just where it runs.
-    pub fn forbid_remote(&self, bin: &str) {
-        if self.remote.is_some() {
-            eprintln!(
-                "error: {bin} does not speak to a sweep-server; use \
-                 `grid --remote` for remote sweeps"
-            );
-            std::process::exit(2);
-        }
     }
 
     /// The paper workloads selected by `--workloads`, at `--scale`, in
@@ -352,11 +353,8 @@ impl Cli {
         })
     }
 
-    /// Writes the report to `--json` (if given) and mirrors *complete*
-    /// reports to `results/<name>.json` for EXPERIMENTS.md bookkeeping —
-    /// a `--shard` part must never overwrite the canonical committed
-    /// artifact. IO errors on the mirror are ignored, errors on an
-    /// explicit `--json` path abort.
+    /// Writes the report to `--json`, if given; an IO error aborts
+    /// (exit 2). Nothing else is written.
     pub fn emit(&self, report: &GridReport) {
         if let Some(path) = &self.json {
             report.write_json(path).unwrap_or_else(|e| {
@@ -365,9 +363,6 @@ impl Cli {
             });
             println!("\nwrote {}", path.display());
         }
-        if report.is_complete() {
-            let _ = report.write_json(format!("results/{}.json", report.name));
-        }
     }
 }
 
@@ -375,13 +370,20 @@ impl Cli {
 mod tests {
     use super::*;
 
+    /// `grid`'s declaration: every optional capability.
+    const GRID: &[&str] = &["--shard", "--resume", "--remote"];
+
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parse(s: &[&str]) -> Result<Cli, String> {
+        Cli::parse_from("grid", GRID, &args(s))
+    }
+
     #[test]
     fn defaults_match_documented_methodology() {
-        let cli = Cli::parse_from(&[]).unwrap();
+        let cli = parse(&[]).unwrap();
         assert!((cli.scale - 1.0 / 64.0).abs() < 1e-12);
         assert_eq!(cli.seeds, 3);
         assert_eq!(cli.perturbation_ns, 4);
@@ -392,7 +394,7 @@ mod tests {
 
     #[test]
     fn filters_parse() {
-        let cli = Cli::parse_from(&args(&[
+        let cli = parse(&[
             "--protocols",
             "ts-snoop,dir-opt",
             "--topologies",
@@ -403,7 +405,7 @@ mod tests {
             "out.json",
             "--seed",
             "9",
-        ]))
+        ])
         .unwrap();
         assert_eq!(
             cli.protocols,
@@ -429,21 +431,15 @@ mod tests {
 
     #[test]
     fn net_and_contention_flags_parse() {
-        let cli = Cli::parse_from(&[]).unwrap();
+        let cli = parse(&[]).unwrap();
         assert_eq!(cli.net, NetworkModelSpec::Fast);
 
         // --contention alone opts into the detailed model.
-        let cli = Cli::parse_from(&args(&["--contention", "5"])).unwrap();
+        let cli = parse(&["--contention", "5"]).unwrap();
         assert_eq!(cli.net, NetworkModelSpec::detailed(5));
 
         // --net detailed with an explicit occupancy override.
-        let cli = Cli::parse_from(&args(&[
-            "--net",
-            "detailed:slack=4,depth=32",
-            "--contention",
-            "7",
-        ]))
-        .unwrap();
+        let cli = parse(&["--net", "detailed:slack=4,depth=32", "--contention", "7"]).unwrap();
         assert_eq!(
             cli.net,
             NetworkModelSpec::Detailed {
@@ -454,22 +450,22 @@ mod tests {
         );
 
         // The acceptance-path spelling.
-        let cli = Cli::parse_from(&args(&["--net", "detailed", "--contention", "5"])).unwrap();
+        let cli = parse(&["--net", "detailed", "--contention", "5"]).unwrap();
         assert_eq!(cli.net, NetworkModelSpec::detailed(5));
 
         // Contradictions and junk are rejected.
-        assert!(Cli::parse_from(&args(&["--net", "fast", "--contention", "5"])).is_err());
-        assert!(Cli::parse_from(&args(&["--net", "slow"])).is_err());
-        assert!(Cli::parse_from(&args(&["--contention", "x"])).is_err());
+        assert!(parse(&["--net", "fast", "--contention", "5"]).is_err());
+        assert!(parse(&["--net", "slow"]).is_err());
+        assert!(parse(&["--contention", "x"]).is_err());
     }
 
     #[test]
     fn resume_and_shard_flags_parse() {
-        let cli = Cli::parse_from(&[]).unwrap();
+        let cli = parse(&[]).unwrap();
         assert_eq!(cli.shard, (0, 1));
         assert!(cli.resume.is_none());
 
-        let cli = Cli::parse_from(&args(&["--shard", "2/3", "--resume", "/tmp/cells"])).unwrap();
+        let cli = parse(&["--shard", "2/3", "--resume", "/tmp/cells"]).unwrap();
         assert_eq!(cli.shard, (2, 3));
         assert_eq!(
             cli.resume.as_deref(),
@@ -478,21 +474,21 @@ mod tests {
 
         for bad in ["3/3", "1/0", "2", "a/b", "-1/3", "1/3/5"] {
             assert!(
-                Cli::parse_from(&args(&["--shard", bad])).is_err(),
+                parse(&["--shard", bad]).is_err(),
                 "--shard {bad:?} should be rejected"
             );
         }
 
         // A shard whose output goes nowhere is wasted simulation.
-        let err = Cli::parse_from(&args(&["--shard", "0/2"])).unwrap_err();
+        let err = parse(&["--shard", "0/2"]).unwrap_err();
         assert!(err.contains("--json"), "{err}");
-        assert!(Cli::parse_from(&args(&["--shard", "0/2", "--json", "p.json"])).is_ok());
-        assert!(Cli::parse_from(&args(&["--shard", "0/2", "--resume", "/tmp/c"])).is_ok());
+        assert!(parse(&["--shard", "0/2", "--json", "p.json"]).is_ok());
+        assert!(parse(&["--shard", "0/2", "--resume", "/tmp/c"]).is_ok());
     }
 
     #[test]
     fn sharded_grid_emits_a_partial_report() {
-        let cli = Cli::parse_from(&args(&[
+        let cli = parse(&[
             "--workloads",
             "barnes",
             "--scale",
@@ -505,7 +501,7 @@ mod tests {
             "1/3",
             "--json",
             "/tmp/unused-part.json", // required with --shard; not written here
-        ]))
+        ])
         .unwrap();
         let report = cli.grid("cli-shard-unit").run().unwrap();
         assert!(!report.is_complete());
@@ -519,7 +515,7 @@ mod tests {
 
     #[test]
     fn remote_flag_parses_and_rejects_local_execution_knobs() {
-        let cli = Cli::parse_from(&args(&["--remote", "http://127.0.0.1:7070"])).unwrap();
+        let cli = parse(&["--remote", "http://127.0.0.1:7070"]).unwrap();
         assert_eq!(cli.remote.as_deref(), Some("http://127.0.0.1:7070"));
 
         for (extra, needle) in [
@@ -529,45 +525,45 @@ mod tests {
         ] {
             let mut argv = args(&["--remote", "http://h:1"]);
             argv.extend(args(extra));
-            let err = Cli::parse_from(&argv).unwrap_err();
+            let err = Cli::parse_from("grid", GRID, &argv).unwrap_err();
             assert!(err.contains(needle), "{err}");
         }
         // gt-origin 0 is the server's behaviour anyway: allowed.
-        assert!(Cli::parse_from(&args(&["--remote", "http://h:1", "--gt-origin", "0"])).is_ok());
+        assert!(parse(&["--remote", "http://h:1", "--gt-origin", "0"]).is_ok());
     }
 
     #[test]
     fn gt_origin_flag_parses() {
-        let cli = Cli::parse_from(&[]).unwrap();
+        let cli = parse(&[]).unwrap();
         assert_eq!(cli.gt_origin, 0);
 
         // The CI wraparound stress seeds a few ticks below the era edge.
         let near_edge = ((1u64 << 48) - 64).to_string();
-        let cli = Cli::parse_from(&args(&["--gt-origin", &near_edge])).unwrap();
+        let cli = parse(&["--gt-origin", &near_edge]).unwrap();
         assert_eq!(cli.gt_origin, (1 << 48) - 64);
 
-        assert!(Cli::parse_from(&args(&["--gt-origin", "-1"])).is_err());
-        assert!(Cli::parse_from(&args(&["--gt-origin", "soon"])).is_err());
+        assert!(parse(&["--gt-origin", "-1"]).is_err());
+        assert!(parse(&["--gt-origin", "soon"]).is_err());
     }
 
     #[test]
     fn bad_inputs_are_rejected() {
-        assert!(Cli::parse_from(&args(&["--scale", "0"])).is_err());
+        assert!(parse(&["--scale", "0"]).is_err());
         // Every cell runs on one thread; there is no `--threads`.
-        let err = Cli::parse_from(&args(&["--threads", "4"])).unwrap_err();
+        let err = parse(&["--threads", "4"]).unwrap_err();
         assert!(err.contains("unknown option"), "{err}");
-        assert!(Cli::parse_from(&args(&["--scale", "-1"])).is_err());
-        assert!(Cli::parse_from(&args(&["--seeds", "0"])).is_err());
-        assert!(Cli::parse_from(&args(&["--protocols", "mesi"])).is_err());
-        assert!(Cli::parse_from(&args(&["--topologies", "ring"])).is_err());
-        assert!(Cli::parse_from(&args(&["--workloads", "specint"])).is_err());
-        assert!(Cli::parse_from(&args(&["--json"])).is_err());
-        assert!(Cli::parse_from(&args(&["--frobnicate", "1"])).is_err());
+        assert!(parse(&["--scale", "-1"]).is_err());
+        assert!(parse(&["--seeds", "0"]).is_err());
+        assert!(parse(&["--protocols", "mesi"]).is_err());
+        assert!(parse(&["--topologies", "ring"]).is_err());
+        assert!(parse(&["--workloads", "specint"]).is_err());
+        assert!(parse(&["--json"]).is_err());
+        assert!(parse(&["--frobnicate", "1"]).is_err());
     }
 
     #[test]
     fn grid_carries_cli_axes() {
-        let cli = Cli::parse_from(&args(&[
+        let cli = parse(&[
             "--protocols",
             "dir-opt",
             "--workloads",
@@ -578,7 +574,7 @@ mod tests {
             "2",
             "--perturbation",
             "5",
-        ]))
+        ])
         .unwrap();
         let report = cli.grid("cli-unit").run().unwrap();
         assert_eq!(report.protocols, vec![ProtocolKind::DirOpt]);
@@ -586,5 +582,37 @@ mod tests {
         assert_eq!(report.perturbation_ns, 5);
         assert_eq!(report.perturbation_runs, 2);
         assert_eq!(report.cells.len(), 2); // one workload x two topologies
+    }
+
+    #[test]
+    fn undeclared_capabilities_are_refused() {
+        let run =
+            |bin: &str, accepts: &[&str], argv: &[&str]| Cli::parse_from(bin, accepts, &args(argv));
+        let shard = ["--shard", "0/2", "--json", "p.json"];
+        let resume = ["--resume", "/tmp/cells"];
+        let remote = ["--remote", "http://h:1"];
+
+        let err = run("latency", &[], &shard).unwrap_err();
+        assert!(
+            err.starts_with("latency assembles a composite report"),
+            "{err}"
+        );
+        let err = run("contention", &["--resume"], &shard).unwrap_err();
+        assert!(err.contains("run contention unsharded"), "{err}");
+        let err = run("table2", &[], &resume).unwrap_err();
+        assert!(
+            err.starts_with("table2 measures its cells outside"),
+            "{err}"
+        );
+        let err = run("fig3", &["--shard", "--resume"], &remote).unwrap_err();
+        assert!(
+            err.starts_with("fig3 does not speak to a sweep-server"),
+            "{err}"
+        );
+
+        // Declared capabilities parse; a one-part shard is no shard at all.
+        assert!(run("contention", &["--resume"], &resume).is_ok());
+        assert!(run("fig3", &["--shard", "--resume"], &shard).is_ok());
+        assert!(run("latency", &[], &["--shard", "0/1"]).is_ok());
     }
 }

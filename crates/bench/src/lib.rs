@@ -29,12 +29,12 @@
 //! both for free; the composite binaries `latency`, `table2` and
 //! `ablations` measure cells outside the grid and *reject* the flags
 //! rather than ignore them, and `contention` takes `--resume` but not
-//! `--shard` — see [`Cli::forbid_shard`]/[`Cli::forbid_resume`]),
-//! and `--json <path>` to write the run's
+//! `--shard`), and `--json <path>` to write the run's
 //! [`GridReport`](tss::experiment::GridReport) artifact. `grid` alone
 //! also takes `--remote <url>` to submit the sweep to a running
-//! `sweep-server` (every other binary rejects it via
-//! [`Cli::forbid_remote`]). They construct
+//! `sweep-server`. Each binary declares once, in its [`Cli::parse`]
+//! call, which of `--shard`, `--resume` and `--remote` it accepts;
+//! the parser refuses the rest (exit 2). They construct
 //! systems exclusively through [`tss::SystemBuilder`] /
 //! [`tss::experiment::ExperimentGrid`].
 

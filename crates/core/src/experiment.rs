@@ -35,6 +35,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use tss_proto::CacheConfig;
@@ -45,7 +46,6 @@ use crate::config::{
     ConfigError, NetworkModelSpec, ProtocolKind, SystemConfig, Timing, TopologyKind,
 };
 use crate::methodology::min_over_perturbations;
-use crate::scheduler::WorkStealScheduler;
 use crate::system::SystemStats;
 
 /// Version stamp of the [`GridReport`] JSON schema. Bump when a field is
@@ -958,19 +958,14 @@ impl ExperimentGrid {
                     for &protocol in &self.protocols {
                         for &seed in &self.seeds {
                             let cfg = SystemConfig {
-                                protocol,
-                                topology,
                                 cache: self.cache,
                                 timing: self.timing,
                                 net,
-                                instructions_per_ns: 4,
                                 perturbation_ns: self.perturbation_ns,
-                                perturbation_stream: 0,
                                 seed,
                                 verify: self.verify,
-                                record_observations: false,
                                 gt_origin: self.gt_origin,
-                                threads: 0,
+                                ..SystemConfig::paper_default(protocol, topology)
                             };
                             // Fail fast on any invalid cell, including the
                             // cells other shards would run.
@@ -1009,7 +1004,7 @@ impl ExperimentGrid {
         })
     }
 
-    /// Validates the axes, runs every cell (in parallel, work-stealing),
+    /// Validates the axes, runs every cell (in parallel, one shared cursor),
     /// and reports. Equivalent to [`ExperimentGrid::plan`] +
     /// [`GridPlan::execute`] + [`GridPlan::report`].
     pub fn run(self) -> Result<GridReport, ConfigError> {
@@ -1050,7 +1045,7 @@ pub struct CellPlan {
 /// plus one [`CellPlan`] per cell of this shard's slice, in deterministic
 /// grid order. Produced by [`ExperimentGrid::plan`]; consumed by the local
 /// run loop ([`GridPlan::execute`]) and by the sweep server, which feeds
-/// the cells of many plans into one shared scheduler.
+/// the cells of many plans into one shared queue.
 #[derive(Debug, Clone)]
 pub struct GridPlan {
     /// What produced this plan (binary or experiment name).
@@ -1076,11 +1071,11 @@ pub struct GridPlan {
 }
 
 impl GridPlan {
-    /// Executes every cell on a [`WorkStealScheduler`] with `threads`
-    /// workers (0 = one per available core) and returns the reports in
-    /// plan order — execution order is whatever stealing makes of it, but
-    /// each result lands in its cell's slot, so the output (and therefore
-    /// the report bytes) is deterministic.
+    /// Executes every cell on `threads` workers (0 = one per available
+    /// core) and returns the reports in plan order. Each idle worker takes
+    /// the next unclaimed cell from one shared cursor, so a long cell never
+    /// holds up the rest; each result lands in its cell's slot, so the
+    /// output (and therefore the report bytes) is deterministic.
     pub fn execute(&self, store: Option<&CellStore>, threads: usize) -> Vec<RunReport> {
         let workers = if threads > 0 {
             threads
@@ -1090,20 +1085,16 @@ impl GridPlan {
         .min(self.cells.len())
         .max(1);
 
-        let sched: WorkStealScheduler<usize> = WorkStealScheduler::new(workers);
-        sched.submit_batch(0..self.cells.len());
-        sched.close();
+        let next = AtomicUsize::new(0);
         let slots: Mutex<Vec<Option<RunReport>>> = Mutex::new(vec![None; self.cells.len()]);
 
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                let (sched, slots) = (&sched, &slots);
-                scope.spawn(move || {
-                    while let Some(i) = sched.next(w) {
-                        let report = run_or_load_cell(store, &self.cells[i]);
-                        slots.lock().expect("no worker panicked holding the lock")[i] =
-                            Some(report);
-                    }
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(cell) = self.cells.get(i) else { break };
+                    let report = run_or_load_cell(store, cell);
+                    slots.lock().expect("no worker panicked holding the lock")[i] = Some(report);
                 });
             }
         });

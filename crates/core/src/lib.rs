@@ -75,10 +75,6 @@ pub mod experiment;
 pub mod methodology;
 mod system;
 
-/// The work-stealing scheduler lives in `tss_sim`; re-exported here so
-/// `tss::scheduler::*` paths keep working.
-pub use tss_sim::scheduler;
-
 pub use builder::SystemBuilder;
 pub use cellstore::{CellStore, GcReport};
 pub use config::{ConfigError, NetworkModelSpec, ProtocolKind, SystemConfig, Timing, TopologyKind};
@@ -87,4 +83,3 @@ pub use experiment::{
     CellKey, CellPlan, ExperimentGrid, GridPlan, GridReport, MergeError, RunReport, ShardSpec,
 };
 pub use system::{HostPerf, RunResult, System, SystemStats, TrafficSummary};
-pub use tss_sim::scheduler::{SchedulerStats, WorkStealScheduler};

@@ -14,8 +14,8 @@
 //! The workspace is offline — no hyper, no tokio — so the service is
 //! hand-rolled over [`std::net::TcpListener`]: [`http`] is a minimal
 //! HTTP/1.1 request/response layer (with chunked streaming for progress
-//! events), [`service`] the threaded server around the shared
-//! work-stealing scheduler, [`client`] the blocking client, and
+//! events), [`service`] the threaded server around one
+//! shared FIFO cell queue, [`client`] the blocking client, and
 //! [`signal`] the SIGTERM/SIGINT hook for graceful shutdown.
 //!
 //! | endpoint | what it does |
@@ -24,7 +24,7 @@
 //! | `GET /v1/grids/{id}` | stream NDJSON progress + the final report |
 //! | `GET /v1/cells/{key}` | one cached cell; `ETag "<CELL_REV>-<key>"`, honors `If-None-Match` |
 //! | `GET /v1/healthz` | liveness |
-//! | `GET /v1/stats` | cells requested/executed/deduped/cache-hit, steal counts |
+//! | `GET /v1/stats` | cells requested/executed/deduped/cache-hit, queue submitted/abandoned |
 
 #![warn(missing_docs)]
 // Unlike the rest of the workspace this crate cannot forbid unsafe: the

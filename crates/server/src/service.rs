@@ -6,10 +6,10 @@
 //!
 //! * One **accept loop** (non-blocking listener, polled against the
 //!   shutdown flag) spawns a short-lived handler thread per connection.
-//! * One pool of **cell workers** drains a shared
-//!   [`WorkStealScheduler`]: cells from *all* in-flight grid requests
-//!   feed the same queues, so a small request never waits behind a big
-//!   one and skewed cell costs rebalance by stealing.
+//! * One pool of **cell workers** drains a single FIFO cell queue:
+//!   cells from *all* in-flight grid requests feed it in arrival order,
+//!   and each idle worker takes the next queued cell, so one long cell
+//!   never holds up the cells behind it.
 //! * **Single-flight dedupe**: an `inflight` map from [`CellKey`] to its
 //!   result slot. A request whose cell is already in flight joins the
 //!   existing slot instead of scheduling a duplicate; the cell executes
@@ -17,12 +17,12 @@
 //!   earlier life of the server are hits in the [`CellStore`] (the
 //!   workers load instead of simulating), so restarts resume warm.
 //! * **Graceful shutdown** ([`SweepServer::begin_shutdown`]): the
-//!   scheduler is abandoned — workers finish the cells they hold,
+//!   queue is abandoned — workers finish the cells they hold,
 //!   queued cells are dropped, streaming responses emit an `aborted`
 //!   event — and the store stays consistent because every write was
 //!   atomic anyway.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -32,7 +32,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use tss::experiment::{run_or_load_cell, CellPlan, GridPlan, CELL_REV};
-use tss::scheduler::WorkStealScheduler;
 use tss::{CellKey, CellStore, RunReport};
 
 use crate::client::GridRequest;
@@ -99,6 +98,81 @@ struct CellTask {
     slot: Arc<CellSlot>,
 }
 
+/// The FIFO every in-flight grid request feeds and every cell worker
+/// drains. Workers park on the condvar while it is empty; after
+/// [`TaskQueue::abandon`] it is closed for good.
+struct TaskQueue<T> {
+    inner: Mutex<QueueState<T>>,
+    available: Condvar,
+}
+
+struct QueueState<T> {
+    tasks: VecDeque<T>,
+    closed: bool,
+    /// Tasks accepted by [`TaskQueue::push`].
+    submitted: u64,
+    /// Tasks dropped unexecuted by [`TaskQueue::abandon`].
+    abandoned: u64,
+}
+
+impl<T> TaskQueue<T> {
+    fn new() -> TaskQueue<T> {
+        TaskQueue {
+            inner: Mutex::new(QueueState {
+                tasks: VecDeque::new(),
+                closed: false,
+                submitted: 0,
+                abandoned: 0,
+            }),
+            available: Condvar::new(),
+        }
+    }
+
+    /// Appends a task; a closed queue drops it uncounted.
+    fn push(&self, task: T) {
+        let mut q = self.inner.lock().expect("queue lock");
+        if q.closed {
+            return;
+        }
+        q.tasks.push_back(task);
+        q.submitted += 1;
+        drop(q);
+        self.available.notify_one();
+    }
+
+    /// The oldest queued task, blocking while the queue is empty; `None`
+    /// once the queue is closed.
+    fn pop(&self) -> Option<T> {
+        let mut q = self.inner.lock().expect("queue lock");
+        loop {
+            if let Some(task) = q.tasks.pop_front() {
+                return Some(task);
+            }
+            if q.closed {
+                return None;
+            }
+            q = self.available.wait(q).expect("queue lock");
+        }
+    }
+
+    /// Closes the queue, drops (and counts) every task still queued, and
+    /// wakes every parked worker so it can exit. Idempotent.
+    fn abandon(&self) {
+        let mut q = self.inner.lock().expect("queue lock");
+        q.abandoned += q.tasks.len() as u64;
+        q.tasks.clear();
+        q.closed = true;
+        drop(q);
+        self.available.notify_all();
+    }
+
+    /// `(submitted, abandoned)` so far.
+    fn counts(&self) -> (u64, u64) {
+        let q = self.inner.lock().expect("queue lock");
+        (q.submitted, q.abandoned)
+    }
+}
+
 /// One accepted grid request: its compiled plan plus, per planned cell,
 /// the slot that will (or already does) hold the result. Two positions
 /// whose cells share a key share one slot.
@@ -117,7 +191,7 @@ struct CellCounters {
 
 struct State {
     store: CellStore,
-    sched: WorkStealScheduler<CellTask>,
+    queue: TaskQueue<CellTask>,
     inflight: Mutex<HashMap<CellKey, Arc<CellSlot>>>,
     grids: Mutex<HashMap<u64, Arc<GridJob>>>,
     next_grid: AtomicU64,
@@ -148,7 +222,7 @@ impl SweepServer {
         };
         let state = Arc::new(State {
             store,
-            sched: WorkStealScheduler::new(worker_count),
+            queue: TaskQueue::new(),
             inflight: Mutex::new(HashMap::new()),
             grids: Mutex::new(HashMap::new()),
             next_grid: AtomicU64::new(0),
@@ -164,9 +238,9 @@ impl SweepServer {
         let accept_state = Arc::clone(&state);
         let accept = std::thread::spawn(move || accept_loop(listener, accept_state));
         let workers = (0..worker_count)
-            .map(|w| {
+            .map(|_| {
                 let state = Arc::clone(&state);
-                std::thread::spawn(move || worker_loop(state, w))
+                std::thread::spawn(move || worker_loop(state))
             })
             .collect();
 
@@ -195,7 +269,7 @@ impl SweepServer {
     /// [`SweepServer::join`] to wait for the threads.
     pub fn begin_shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
-        self.state.sched.abandon();
+        self.state.queue.abandon();
     }
 
     /// Waits for the accept loop and every cell worker to exit. Only
@@ -215,10 +289,10 @@ impl SweepServer {
         self.join();
     }
 
-    /// Cells the scheduler abandoned unexecuted (meaningful after
-    /// shutdown; the binary reports it on exit).
+    /// Cells the queue abandoned unexecuted (meaningful after shutdown;
+    /// the binary reports it on exit).
     pub fn abandoned_cells(&self) -> u64 {
-        self.state.sched.stats().abandoned
+        self.state.queue.counts().1
     }
 }
 
@@ -247,9 +321,9 @@ fn accept_loop(listener: TcpListener, state: Arc<State>) {
     }
 }
 
-/// One cell worker: drain the shared scheduler until it closes.
-fn worker_loop(state: Arc<State>, worker: usize) {
-    while let Some(task) = state.sched.next(worker) {
+/// One cell worker: drain the shared queue until it closes.
+fn worker_loop(state: Arc<State>) {
+    while let Some(task) = state.queue.pop() {
         let report = run_or_load_cell(Some(&state.store), &task.plan);
         if report.cached {
             state.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -269,7 +343,7 @@ fn worker_loop(state: Arc<State>, worker: usize) {
 }
 
 /// Registers a compiled plan: one slot per cell, deduplicated against
-/// everything already in flight, new cells injected into the scheduler.
+/// everything already in flight, new cells pushed onto the queue.
 fn submit_grid(state: &Arc<State>, plan: GridPlan) -> (u64, Arc<GridJob>) {
     let mut slots = Vec::with_capacity(plan.cells.len());
     {
@@ -288,10 +362,10 @@ fn submit_grid(state: &Arc<State>, plan: GridPlan) -> (u64, Arc<GridJob>) {
                 None => {
                     let slot = Arc::new(CellSlot::new());
                     inflight.insert(cell.key, Arc::clone(&slot));
-                    // A closed scheduler (shutdown raced the request)
+                    // A closed queue (shutdown raced the request)
                     // drops the task; the waiter then aborts on the
                     // shutdown flag instead of hanging.
-                    state.sched.inject(CellTask {
+                    state.queue.push(CellTask {
                         plan: cell.clone(),
                         slot: Arc::clone(&slot),
                     });
@@ -523,9 +597,9 @@ fn get_cell(
     )
 }
 
-/// `GET /v1/stats`: the cache counters and the scheduler's flow shape.
+/// `GET /v1/stats`: the cache counters and the queue's flow counts.
 fn get_stats(mut stream: TcpStream, state: &Arc<State>) -> io::Result<()> {
-    let sched = state.sched.stats();
+    let (submitted, abandoned) = state.queue.counts();
     let cells = serde_json::Value::Object(vec![
         (
             "requested".into(),
@@ -545,20 +619,8 @@ fn get_stats(mut stream: TcpStream, state: &Arc<State>) -> io::Result<()> {
         ),
     ]);
     let scheduler = serde_json::Value::Object(vec![
-        ("submitted".into(), serde_json::Value::U64(sched.submitted)),
-        ("injected".into(), serde_json::Value::U64(sched.injected)),
-        ("stolen".into(), serde_json::Value::U64(sched.stolen())),
-        (
-            "steals".into(),
-            serde_json::Value::Array(
-                sched
-                    .steals
-                    .iter()
-                    .map(|&s| serde_json::Value::U64(s))
-                    .collect(),
-            ),
-        ),
-        ("abandoned".into(), serde_json::Value::U64(sched.abandoned)),
+        ("submitted".into(), serde_json::Value::U64(submitted)),
+        ("abandoned".into(), serde_json::Value::U64(abandoned)),
     ]);
     let stats = serde_json::Value::Object(vec![
         ("cells".into(), cells),
@@ -605,4 +667,96 @@ fn error_response(
 /// Compact JSON + the newline NDJSON wants.
 fn render_json_line(value: &serde_json::Value) -> String {
     serde_json::to_string(value).expect("value rendering is infallible") + "\n"
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tasks_pop_in_fifo_order_across_grids() {
+        let q = TaskQueue::new();
+        // Two grid requests land one after the other: the first one's
+        // cells all run before the second one's.
+        for task in ["a0", "a1", "a2"] {
+            q.push(task);
+        }
+        for task in ["b0", "b1"] {
+            q.push(task);
+        }
+        let popped: Vec<_> = (0..5).map(|_| q.pop().expect("queued")).collect();
+        assert_eq!(popped, ["a0", "a1", "a2", "b0", "b1"]);
+        assert_eq!(q.counts(), (5, 0));
+    }
+
+    #[test]
+    fn abandon_drops_and_counts_queued_tasks_and_wakes_parked_workers() {
+        let q: Arc<TaskQueue<u32>> = Arc::new(TaskQueue::new());
+        let parked: Vec<_> = (0..3)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || q.pop())
+            })
+            .collect();
+        // Give the workers time to park on the empty queue; whether or
+        // not they have, abandon must leave every one of them with `None`.
+        std::thread::sleep(Duration::from_millis(20));
+        q.abandon();
+        for worker in parked {
+            assert_eq!(worker.join().expect("worker thread"), None);
+        }
+
+        let q = TaskQueue::new();
+        for task in 1..=4 {
+            q.push(task);
+        }
+        assert_eq!(q.pop(), Some(1));
+        q.abandon();
+        assert_eq!(q.pop(), None, "queued tasks are dropped, not drained");
+        assert_eq!(q.counts(), (4, 3));
+        q.abandon();
+        assert_eq!(q.counts(), (4, 3), "abandon is idempotent");
+    }
+
+    #[test]
+    fn push_after_abandon_is_dropped() {
+        let q = TaskQueue::new();
+        q.abandon();
+        q.push(7);
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.counts(), (0, 0));
+    }
+
+    #[test]
+    fn concurrent_workers_pop_every_task_exactly_once() {
+        const TASKS: usize = 4_096;
+        const WORKERS: usize = 4;
+        let q: Arc<TaskQueue<Option<usize>>> = Arc::new(TaskQueue::new());
+        let seen: Arc<Vec<AtomicU64>> = Arc::new((0..TASKS).map(|_| AtomicU64::new(0)).collect());
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|_| {
+                let (q, seen) = (Arc::clone(&q), Arc::clone(&seen));
+                // `None` is the stop marker, one per worker.
+                std::thread::spawn(move || {
+                    while let Some(Some(i)) = q.pop() {
+                        seen[i].fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+        // Workers are already popping (or parked) while tasks arrive.
+        for i in 0..TASKS {
+            q.push(Some(i));
+        }
+        for _ in 0..WORKERS {
+            q.push(None);
+        }
+        for worker in workers {
+            worker.join().expect("worker thread");
+        }
+        for (i, count) in seen.iter().enumerate() {
+            assert_eq!(count.load(Ordering::Relaxed), 1, "task {i} popped once");
+        }
+        assert_eq!(q.counts(), ((TASKS + WORKERS) as u64, 0));
+    }
 }

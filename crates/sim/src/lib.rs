@@ -11,11 +11,10 @@
 //!   insertion order, so simulations are exactly reproducible),
 //! * [`rng`] — seeded random-number helpers shared by workload generators and
 //!   the perturbation methodology of the paper (§4.3),
-//! * [`stats`] — counters and histograms used for the paper's tables/figures.
+//! * [`stats`] — the latency accumulator used for the paper's tables/figures.
 //!
-//! Host parallelism lives one level up: [`scheduler`] distributes whole,
-//! independent simulations (grid cells) across worker threads, while each
-//! simulation runs its event loop on one thread.
+//! Each simulation runs its event loop on one thread; host parallelism
+//! (running independent grid cells side by side) lives one level up.
 //!
 //! # Example
 //!
@@ -35,10 +34,8 @@
 pub mod hash;
 mod queue;
 pub mod rng;
-pub mod scheduler;
 pub mod stats;
 mod time;
 
 pub use queue::EventQueue;
-pub use scheduler::{SchedulerStats, WorkStealScheduler};
 pub use time::{Duration, Gt, GtKey, Time};

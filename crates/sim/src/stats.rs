@@ -1,51 +1,8 @@
-//! Counters and histograms for experiment reporting.
+//! Latency accumulation for experiment reporting.
 
 use std::fmt;
 
 use crate::Duration;
-
-/// A monotonically increasing event counter.
-///
-/// ```
-/// use tss_sim::stats::Counter;
-/// let mut misses = Counter::new();
-/// misses.add(3);
-/// misses.incr();
-/// assert_eq!(misses.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n` to the counter.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Online mean/min/max accumulator for latency-like samples.
 ///
@@ -127,82 +84,9 @@ impl fmt::Display for LatencyStat {
     }
 }
 
-/// Fixed-bucket histogram of small non-negative integer samples (e.g. slack
-/// values at delivery, reorder-queue depths).
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with buckets `0..buckets`; larger samples land in
-    /// the overflow bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets == 0`.
-    pub fn new(buckets: usize) -> Self {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Histogram {
-            buckets: vec![0; buckets],
-            overflow: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: u64) {
-        match self.buckets.get_mut(sample as usize) {
-            Some(b) => *b += 1,
-            None => self.overflow += 1,
-        }
-    }
-
-    /// Count in bucket `i` (`None` if out of range).
-    pub fn bucket(&self, i: usize) -> Option<u64> {
-        self.buckets.get(i).copied()
-    }
-
-    /// Count of samples at or beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of samples.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.overflow
-    }
-
-    /// Mean sample value, counting overflow samples at the first
-    /// out-of-range value (a lower bound on the true mean).
-    pub fn mean_lower_bound(&self) -> Option<f64> {
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        let weighted: u64 = self
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| i as u64 * c)
-            .sum::<u64>()
-            + self.overflow * self.buckets.len() as u64;
-        Some(weighted as f64 / total as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
 
     #[test]
     fn latency_stat_tracks_extremes() {
@@ -226,28 +110,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean_ns(), Some(10.0));
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(4);
-        for v in [0, 1, 1, 3, 9] {
-            h.record(v);
-        }
-        assert_eq!(h.bucket(0), Some(1));
-        assert_eq!(h.bucket(1), Some(2));
-        assert_eq!(h.bucket(2), Some(0));
-        assert_eq!(h.bucket(3), Some(1));
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 5);
-        // (0 + 1 + 1 + 3 + 4) / 5
-        assert_eq!(h.mean_lower_bound(), Some(1.8));
-    }
-
-    #[test]
-    fn empty_histogram_has_no_mean() {
-        let h = Histogram::new(2);
-        assert_eq!(h.mean_lower_bound(), None);
-        assert_eq!(h.total(), 0);
     }
 }

@@ -271,7 +271,7 @@ fn json_flag_writes_a_loadable_artifact() {
     .map(|s| s.to_string())
     .chain([path.to_string_lossy().into_owned()])
     .collect();
-    let cli = Cli::parse_from(&args).unwrap();
+    let cli = Cli::parse_from("json-flag-test", &[], &args).unwrap();
     let report = cli.grid("json-flag-test").run().unwrap();
     report.write_json(&path).unwrap();
 
