@@ -1110,27 +1110,33 @@ mod tests {
             (
                 Fabric::torus4x4(),
                 Gt::ZERO,
-                "426c577111bce89901a8182ad0f8e05d",
+                "1187148cf0d7afb4c1cb85915b9f0bb0",
             ),
             (
                 Fabric::torus4x4(),
                 era_edge,
-                "9be2ecfd6e379879dbe8eaba3190772e",
+                "1f21c666ee8c3117e429f98a706d56be",
             ),
             (
                 Fabric::butterfly(4, 2, 1),
                 Gt::ZERO,
-                "415d98b229247f8f981c9bcc550faebd",
+                "23e6f5f25cc223b3a137f22bbcb2c7a1",
             ),
             (
                 Fabric::butterfly(4, 2, 1),
                 era_edge,
-                "fb953c08ded70bc5488dbcf4b735d915",
+                "9162fcb39cf62b6bce636a56f0676aa7",
             ),
         ];
         for (fabric, origin, want) in cases {
             let mut net = DetailedNet::new(Arc::new(fabric), contended_cfg(origin));
             let (log, stats) = drive_contended(&mut net);
+            // Hash the stats without the trailing always-zero
+            // `waves_skipped` field, so the pin survives its removal.
+            let stats = stats
+                .strip_suffix(", waves_skipped: 0 }")
+                .map(|head| format!("{head} }}"))
+                .expect("DetailedNet::run_until never skips waves");
             let digest = fingerprint128(format!("{log:?} {stats}").as_bytes());
             assert_eq!(
                 format!("{digest:032x}"),
