@@ -29,8 +29,7 @@
 //! perf --scale 0.002 --seeds 1 --check BENCH_hotpath.json  # CI smoke
 //! ```
 //!
-//! Alongside the JSON metrics the run prints the hot-path counters:
-//! events popped and idle token waves skipped in closed form.
+//! Alongside the JSON metrics the run prints each bench's event count.
 
 use std::path::PathBuf;
 
@@ -252,7 +251,7 @@ fn tardis_cell(args: &Args) -> Measurement {
 }
 
 /// One full-scale detailed cell: the token-wave hot path under moderate
-/// contention, where the idle fast-forward earns its keep.
+/// contention, idle gaps included.
 fn detailed_cell(args: &Args) -> Measurement {
     let (wall_ms, result) = time(|| {
         System::builder()
@@ -266,8 +265,8 @@ fn detailed_cell(args: &Args) -> Measurement {
             .run()
     });
     println!(
-        "  [detailed_cell_oltp_torus] events {}  waves skipped {}",
-        result.stats.events_processed, result.perf.waves_skipped
+        "  [detailed_cell_oltp_torus] events {}",
+        result.stats.events_processed
     );
     Measurement {
         name: "detailed_cell_oltp_torus",
@@ -302,8 +301,8 @@ fn torus256_cell(args: &Args) -> Measurement {
             .run()
     });
     println!(
-        "  [detailed_torus256_serial] events {}  waves skipped {}",
-        result.stats.events_processed, result.perf.waves_skipped
+        "  [detailed_torus256_serial] events {}",
+        result.stats.events_processed
     );
     Measurement {
         name: "detailed_torus256_serial",

@@ -82,4 +82,4 @@ pub use cpu::Cpu;
 pub use experiment::{
     CellKey, CellPlan, ExperimentGrid, GridPlan, GridReport, MergeError, RunReport, ShardSpec,
 };
-pub use system::{HostPerf, RunResult, System, SystemStats, TrafficSummary};
+pub use system::{RunResult, System, SystemStats, TrafficSummary};

@@ -109,21 +109,6 @@ pub struct RunResult {
     /// Per-CPU `(op, observed value)` log, populated only when
     /// [`SystemConfig::record_observations`] is set (litmus tests).
     pub observations: Vec<Vec<(CpuOp, u64)>>,
-    /// Host-side hot-path counters (perf diagnostics; deliberately *not*
-    /// part of [`SystemStats`], which is serialized into `GridReport`
-    /// artifacts whose bytes are pinned across optimisation PRs).
-    pub perf: HostPerf,
-}
-
-/// Host-side (wall-clock-world) counters the `perf` bench bin reports:
-/// how much work the simulator avoided, not what the target measured.
-/// (The raw event count lives in the serialized
-/// [`SystemStats::events_processed`].)
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HostPerf {
-    /// Idle token waves the detailed address network skipped in closed
-    /// form instead of simulating (0 under the fast model).
-    pub waves_skipped: u64,
 }
 
 #[derive(Debug)]
@@ -446,9 +431,6 @@ impl System {
         RunResult {
             stats,
             observations: self.observations,
-            perf: HostPerf {
-                waves_skipped: self.addr.as_ref().map_or(0, |a| a.waves_skipped()),
-            },
         }
     }
 
@@ -720,8 +702,8 @@ mod tests {
     }
 
     /// `GridReport` bytes are pinned across PRs, so [`SystemStats`] must
-    /// keep exactly its historical field set — host-side counters belong
-    /// in [`HostPerf`], which is never serialized.
+    /// keep exactly its historical field set — host-side counters must
+    /// stay out of it.
     #[test]
     fn parallel_counters_stay_out_of_serialized_stats() {
         let r = System::run_traces(

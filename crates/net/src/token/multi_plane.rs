@@ -86,12 +86,8 @@ pub struct MultiPlaneNet<P> {
     released: Vec<Delivery<P>>,
     /// All-plane traffic ledger (per-plane ledgers merged at inject time).
     ledger: TrafficLedger,
-    injected: u64,
-    released_total: u64,
     /// Endpoint-copies injected but not yet released, maintained per step
-    /// (`+= num_nodes` at injection, `-= 1` per release) — the old
-    /// `injected * num_nodes - released_total` derivation overflowed the
-    /// multiply long before the counters themselves wrapped.
+    /// (`+= num_nodes` at injection, `-= 1` per release).
     copies_outstanding: u64,
 }
 
@@ -111,8 +107,6 @@ impl<P> MultiPlaneNet<P> {
             merge_pending: 0,
             released: Vec::new(),
             ledger,
-            injected: 0,
-            released_total: 0,
             copies_outstanding: 0,
             fabric,
         }
@@ -131,7 +125,6 @@ impl<P> MultiPlaneNet<P> {
         let ot = self.planes[plane].inject(now, src, payload);
         self.ledger
             .record_tree(self.fabric.tree(plane, src), MsgClass::Request);
-        self.injected += 1;
         self.copies_outstanding += self.fabric.num_nodes() as u64;
         (plane, ot)
     }
@@ -141,21 +134,7 @@ impl<P> MultiPlaneNet<P> {
     /// each step, so every release carries its *exact* gate-open instant
     /// (see [`MultiPlaneNet::drain_into`]) no matter how coarsely the
     /// caller polls.
-    ///
-    /// When the whole network is idle (every copy released, nothing held
-    /// at the merge gate), the catch-up across the gap is done in closed
-    /// form first: each plane skips its periodic token waves analytically
-    /// ([`DetailedNet::fast_forward_idle`]) instead of simulating them —
-    /// the dominant cost of detailed runs over workloads with idle gaps.
-    /// The skip is gated on *global* idleness: pre-advancing one plane's
-    /// guarantee times while another still carries copies would move the
-    /// min-GT release frontier and change observable ordering instants.
     pub fn run_until(&mut self, t: Time) {
-        if self.merge_pending == 0 && self.outstanding() == 0 {
-            for p in &mut self.planes {
-                p.fast_forward_idle(t);
-            }
-        }
         while let Some(next) = self
             .planes
             .iter()
@@ -203,7 +182,6 @@ impl<P> MultiPlaneNet<P> {
                     ordered_at: at,
                     ..e.delivery
                 });
-                self.released_total += 1;
                 self.copies_outstanding -= 1;
                 self.merge_pending -= 1;
             }
@@ -235,11 +213,6 @@ impl<P> MultiPlaneNet<P> {
         out.append(&mut self.released);
     }
 
-    /// Idle token waves skipped analytically across all planes.
-    pub fn waves_skipped(&self) -> u64 {
-        self.planes.iter().map(|p| p.stats().waves_skipped).sum()
-    }
-
     /// Minimum guarantee time of `node` across planes — the value its
     /// coherence controller may trust. `Gt`'s wrapping order keeps the
     /// minimum meaningful across an era rollover (per-plane skew is
@@ -265,8 +238,7 @@ impl<P> MultiPlaneNet<P> {
     /// Endpoint-copies injected but not yet released to
     /// [`MultiPlaneNet::drain_into`]: in flight on a
     /// plane, waiting in a per-plane reorder queue, or held back by the
-    /// min-GT merge gate. Maintained incrementally so it stays exact
-    /// however large the lifetime `injected` count grows.
+    /// min-GT merge gate.
     pub fn outstanding(&self) -> u64 {
         self.copies_outstanding
     }
@@ -374,18 +346,14 @@ mod tests {
         assert_eq!(n.planes(), 4);
     }
 
-    /// Regression for the overflowing `injected * num_nodes` derivation of
-    /// [`MultiPlaneNet::outstanding`]: the incrementally maintained count
-    /// must ignore how large the lifetime totals are.
+    /// [`MultiPlaneNet::outstanding`] is maintained per step, with no
+    /// lifetime totals whose product could overflow: it counts every copy
+    /// from injection until its release through the min-GT gate.
     #[test]
     fn outstanding_survives_huge_lifetime_counters() {
         let mut n = net(DetailedNetConfig::default());
         n.inject(Time::from_ns(10), NodeId(0), 1);
-        n.injected = u64::MAX / 8;
-        n.released_total = n.injected - 1;
         assert_eq!(n.outstanding(), 16, "one broadcast, 16 copies pending");
-        n.injected = 1;
-        n.released_total = 0;
         let deliveries = drain(&mut n, Time::from_ns(2_000));
         assert_eq!(n.outstanding(), 0);
         assert_eq!(deliveries.len(), 16);
@@ -430,21 +398,16 @@ mod tests {
     }
 
     #[test]
-    fn idle_gaps_fast_forward_across_all_planes() {
+    fn traffic_after_a_long_idle_gap_is_delivered_on_all_planes() {
         let mut n = net(DetailedNetConfig::default());
         for i in 0..8u32 {
             n.inject(Time::from_ns(10 + i as u64), NodeId(i as u16), i);
         }
         assert_eq!(drain(&mut n, Time::from_ns(1_000)).len(), 8 * 16);
-        // The idle catch-up to a much later injection is done in closed
-        // form on every plane; deliveries stay complete and ordered.
+        // Every plane simulates ~33k idle token waves to reach a much
+        // later injection; its copies still all come out.
         n.inject(Time::from_ns(500_000), NodeId(2), 99);
         assert_eq!(drain(&mut n, Time::from_ns(501_000)).len(), 16);
-        assert!(
-            n.waves_skipped() > 4 * 30_000,
-            "four planes × ~33k waves of idle gap should be skipped, got {}",
-            n.waves_skipped()
-        );
     }
 
     #[test]

@@ -75,9 +75,6 @@ pub struct DetailedNetStats {
     pub injected: u64,
     /// Endpoint-copies processed.
     pub processed: u64,
-    /// Idle lock-step token waves skipped analytically instead of being
-    /// simulated (see `DetailedNet::fast_forward_idle`).
-    pub waves_skipped: u64,
 }
 
 #[derive(Debug)]
@@ -216,22 +213,11 @@ pub struct DetailedNet<P> {
     ordering_delay: LatencyStat,
     injected: u64,
     processed: u64,
-    /// Links participating in this plane (= token events per idle wave).
-    plane_links: usize,
-    /// `Ev::LinkFree` events currently scheduled (blocks fast-forward).
-    link_free_pending: usize,
     /// Endpoint-copies injected but not yet processed, maintained per step
     /// (`+= num_nodes` at injection, `-= 1` per processed copy). Replaces
     /// the old `injected * num_nodes - processed` derivation, whose
     /// multiply overflows u64 long before the counters themselves do.
     copies_outstanding: u64,
-    /// Idle waves skipped in closed form.
-    waves_skipped: u64,
-    /// Per-link stamp (vs `ff_generation`) for the one-token-per-link
-    /// check, so a fast-forward attempt needs no clearing pass.
-    link_stamp: Vec<u64>,
-    /// Generation counter for `link_stamp`.
-    ff_generation: u64,
 }
 
 impl<P> DetailedNet<P> {
@@ -284,11 +270,6 @@ impl<P> DetailedNet<P> {
             }
         }
 
-        let plane_links = fabric
-            .links()
-            .iter()
-            .filter(|l| l.plane == plane as u32)
-            .count();
         let link_dest: Vec<(u32, u32)> = fabric
             .links()
             .iter()
@@ -315,12 +296,7 @@ impl<P> DetailedNet<P> {
             ordering_delay: LatencyStat::new(),
             injected: 0,
             processed: 0,
-            plane_links,
-            link_free_pending: 0,
             copies_outstanding: 0,
-            waves_skipped: 0,
-            link_stamp: vec![0; fabric.links().len()],
-            ff_generation: 0,
             fabric,
             cfg,
             plane,
@@ -330,85 +306,6 @@ impl<P> DetailedNet<P> {
             net.cascade(Vertex(v as u32));
         }
         net
-    }
-
-    /// Skips idle lock-step token waves in closed form, advancing the
-    /// simulation as close to `to` as whole waves allow. Returns the
-    /// number of waves skipped (0 when the precondition does not hold).
-    ///
-    /// In the idle steady state the token wave is strictly periodic: at
-    /// one instant `t` every link carries exactly one token, delivering
-    /// them fires every switch exactly once, and the identical wave
-    /// reappears at `t + link_latency` with every guarantee time advanced
-    /// by one. Simulating `k` such waves is therefore equivalent to adding
-    /// `k` to every GT and re-timing the pending wave by `k·link_latency`
-    /// — which is what this does, after verifying the steady state
-    /// *exactly*:
-    ///
-    /// * no transaction copy anywhere (in flight, buffered, or parked in a
-    ///   reorder queue): [`DetailedNet::outstanding`] is 0;
-    /// * no `LinkFree` event pending (a busy-link residue);
-    /// * every pending event sits at one single instant, with exactly
-    ///   **one token per link** — equal counts alone can hide bunching
-    ///   (two tokens on one link, none on another) in post-contention
-    ///   states, which advances guarantee times non-uniformly;
-    /// * no switch holds an unconsumed token.
-    ///
-    /// When any check fails (e.g. a post-contention wave still re-syncing)
-    /// the caller simply simulates wave by wave — slower, never wrong.
-    /// The wave at `t_next + k·link_latency` itself is left to be
-    /// simulated normally, so the observable state at any instant `<= to`
-    /// is bit-for-bit what wave-by-wave simulation produces.
-    pub fn fast_forward_idle(&mut self, to: Time) -> u64 {
-        if self.outstanding() != 0 || self.link_free_pending != 0 {
-            return 0;
-        }
-        let Some(t_next) = self.events.single_instant() else {
-            return 0;
-        };
-        if self.events.len() != self.plane_links || to <= t_next {
-            return 0;
-        }
-        let tau = self.cfg.link_latency.as_ns();
-        let k = (to.as_ns() - t_next.as_ns()) / tau;
-        if k == 0 {
-            return 0;
-        }
-        if self
-            .cores
-            .iter()
-            .flatten()
-            .any(SwitchCore::has_pending_tokens)
-        {
-            return 0;
-        }
-        // One token per link, exactly: anything else is a skewed wave.
-        self.ff_generation += 1;
-        for ev in self.events.head_instant_events() {
-            let Ev::Deliver {
-                link,
-                item: Item::Token,
-            } = ev
-            else {
-                return 0;
-            };
-            if self.link_stamp[link.index()] == self.ff_generation {
-                return 0; // two tokens bunched on one link
-            }
-            self.link_stamp[link.index()] = self.ff_generation;
-        }
-        // Re-time the wave to `t_next + k·τ` in one O(1) bucket move
-        // (FIFO within the instant preserved), and advance every
-        // guarantee time by the skipped wave count.
-        let shifted = Time::from_ns(t_next.as_ns() + k * tau);
-        if !self.events.reschedule_head_instant(shifted) {
-            return 0;
-        }
-        for core in self.cores.iter_mut().flatten() {
-            core.advance_gt(k);
-        }
-        self.waves_skipped += k;
-        k
     }
 
     /// Takes all endpoint deliveries processed so far (in processing
@@ -464,7 +361,6 @@ impl<P> DetailedNet<P> {
             ordering_delay: self.ordering_delay,
             injected: self.injected,
             processed: self.processed,
-            waves_skipped: self.waves_skipped,
         }
     }
 
@@ -511,7 +407,6 @@ impl<P> DetailedNet<P> {
                 Ev::Deliver { link, item } => self.deliver(link, item),
                 Ev::LinkFree { link } => {
                     self.free_scheduled[link.index()] = false;
-                    self.link_free_pending -= 1;
                     self.link_freed(link);
                 }
             }
@@ -685,7 +580,6 @@ impl<P> DetailedNet<P> {
         let li = link.index();
         if !self.free_scheduled[li] {
             self.free_scheduled[li] = true;
-            self.link_free_pending += 1;
             self.schedule(self.next_free[li], Ev::LinkFree { link });
         }
     }
@@ -906,58 +800,6 @@ mod tests {
         assert_eq!(self_copy.arrival, Time::from_ns(40 + 2 * 15));
     }
 
-    /// The closed-form idle fast-forward must be observationally
-    /// invisible: a net driven across a long idle gap in one jump (waves
-    /// skipped analytically) must end in exactly the state of a net
-    /// stepped wave by wave — same GTs, same wave phase, and identical
-    /// behaviour for traffic injected after the gap.
-    #[test]
-    fn idle_fast_forward_matches_wave_by_wave_simulation() {
-        type EndpointLog = Vec<Vec<(u32, Gt, u64)>>;
-        let drive = |skip: bool| -> (Vec<Gt>, EndpointLog) {
-            let mut net = unloaded(Fabric::torus4x4(), 2);
-            net.inject(Time::from_ns(40), NodeId(1), 7);
-            net.run_until(Time::from_ns(400));
-            // A long idle gap: ~600 waves.
-            let target = Time::from_ns(10_000);
-            if skip {
-                let skipped = net.fast_forward_idle(target);
-                assert!(skipped > 400, "gap should fast-forward, got {skipped}");
-            }
-            net.run_until(target);
-            // Traffic after the gap must behave identically.
-            net.inject(Time::from_ns(10_007), NodeId(3), 9);
-            net.run_until(Time::from_ns(12_000));
-            let gts = (0..16).map(|n| net.endpoint_gt(NodeId(n))).collect();
-            // Per-endpoint logs: the order *within* one endpoint and the
-            // processing instants are the observable contract (cross-node
-            // order inside one instant is not — the min-GT merge sorts).
-            let mut log = vec![Vec::new(); 16];
-            for d in net.take_deliveries() {
-                log[d.dest.index()].push((*d.payload, d.ot, d.ordered_at.as_ns()));
-            }
-            (gts, log)
-        };
-        let (gt_skip, log_skip) = drive(true);
-        let (gt_step, log_step) = drive(false);
-        assert_eq!(gt_skip, gt_step, "guarantee times diverged");
-        assert_eq!(log_skip, log_step, "per-endpoint delivery logs diverged");
-    }
-
-    #[test]
-    fn fast_forward_declines_non_idle_states() {
-        let mut net = unloaded(Fabric::torus4x4(), 2);
-        net.inject(Time::from_ns(40), NodeId(0), 1);
-        // Copies in flight: outstanding() > 0, so no skip.
-        assert_eq!(net.fast_forward_idle(Time::from_ns(5_000)), 0);
-        net.run_until(Time::from_ns(2_000));
-        net.take_deliveries();
-        // Quiescent: a skip shorter than one wave period is also refused.
-        assert_eq!(net.fast_forward_idle(Time::from_ns(2_001)), 0);
-        assert!(net.fast_forward_idle(Time::from_ns(5_000)) > 0);
-        assert!(net.stats().waves_skipped > 0);
-    }
-
     #[test]
     fn traffic_counts_tree_links() {
         let mut net = unloaded(Fabric::butterfly(4, 2, 1), 2);
@@ -1131,12 +973,6 @@ mod tests {
         for (fabric, origin, want) in cases {
             let mut net = DetailedNet::new(Arc::new(fabric), contended_cfg(origin));
             let (log, stats) = drive_contended(&mut net);
-            // Hash the stats without the trailing always-zero
-            // `waves_skipped` field, so the pin survives its removal.
-            let stats = stats
-                .strip_suffix(", waves_skipped: 0 }")
-                .map(|head| format!("{head} }}"))
-                .expect("DetailedNet::run_until never skips waves");
             let digest = fingerprint128(format!("{log:?} {stats}").as_bytes());
             assert_eq!(
                 format!("{digest:032x}"),

@@ -221,27 +221,6 @@ impl<T> SwitchCore<T> {
         self.gt
     }
 
-    /// Whether any input port holds an unconsumed token — `false` in the
-    /// idle lock-step steady state between two wave instants.
-    pub fn has_pending_tokens(&self) -> bool {
-        self.armed_ports > 0
-    }
-
-    /// Advances the guarantee time by `k` whole propagations without
-    /// touching token counters or buffers: the closed-form equivalent of
-    /// `k` idle lock-step waves (each of which consumes one token per
-    /// input and emits one per output, returning the switch to the exact
-    /// same state with `gt + 1`). Callers must have verified the idle
-    /// steady state first — see `DetailedNet::fast_forward_idle`.
-    pub fn advance_gt(&mut self, k: u64) {
-        debug_assert!(
-            !self.has_pending_tokens(),
-            "fast-forward of a non-idle switch"
-        );
-        debug_assert_eq!(self.buffered, 0, "fast-forward with buffered transactions");
-        self.gt = self.gt.wrapping_add(k);
-    }
-
     /// Pending (unconsumed) tokens on `in_port`.
     pub fn tokens_pending(&self, in_port: usize) -> u64 {
         self.token_count[in_port]
@@ -325,7 +304,6 @@ mod tests {
         assert_eq!(sw.gt(), Gt::from_ticks(1));
         // All counters consumed.
         assert!((0..3).all(|p| sw.tokens_pending(p) == 0));
-        assert!(!sw.has_pending_tokens());
     }
 
     #[test]
@@ -396,7 +374,10 @@ mod tests {
         assert!(sw.propagate());
         assert_eq!(sw.gt(), Gt::from_parts(1, 0));
         assert!(sw.gt() > origin);
-        sw.advance_gt(5);
+        for _ in 0..5 {
+            sw.token_arrives(0);
+            assert!(sw.propagate());
+        }
         assert_eq!(sw.gt(), Gt::from_parts(1, 5));
     }
 }

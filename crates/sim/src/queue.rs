@@ -225,78 +225,6 @@ impl<E> EventQueue<E> {
         self.next_at
     }
 
-    /// `Some(t)` when **every** pending event is scheduled for the single
-    /// instant `t` — the precondition the detailed network's idle
-    /// fast-forward checks before skipping token waves in closed form.
-    /// Conservatively `None` when the queue is empty or the check cannot
-    /// be answered in O(1) (events in the overflow heap).
-    pub fn single_instant(&self) -> Option<Time> {
-        if self.ring_len > 0
-            && self.overflow.is_empty()
-            && self.ring[self.cursor].len() == self.ring_len
-        {
-            return Some(Time::from_ns(self.base.wrapping_add(self.cursor as u64)));
-        }
-        None
-    }
-
-    /// The events pending at the earliest in-window instant, in FIFO
-    /// order. Together with [`EventQueue::single_instant`] this lets a
-    /// caller inspect a whole "wave" of simultaneous events without
-    /// popping them. Empty when nothing is pending in the window.
-    pub fn head_instant_events(&self) -> impl Iterator<Item = &E> + '_ {
-        let bucket = if self.ring_len > 0 {
-            Some(&self.ring[self.cursor])
-        } else {
-            None
-        };
-        bucket.into_iter().flatten()
-    }
-
-    /// Moves **every** pending event (which must share one instant — see
-    /// [`EventQueue::single_instant`]) to the later instant `new_at`,
-    /// preserving their FIFO order, in O(1): the detailed network uses
-    /// this to re-time an idle token wave after skipping `k` periods in
-    /// closed form. Returns `false` (changing nothing) when the pending
-    /// events span more than one instant or `new_at` is not later.
-    pub fn reschedule_head_instant(&mut self, new_at: Time) -> bool {
-        let Some(t) = self.single_instant() else {
-            return false;
-        };
-        if ord(new_at) <= ord(t) {
-            return false;
-        }
-        let old = self.cursor;
-        self.occupied[old / 64] &= !(1 << (old % 64));
-        let offset = new_at.as_ns().wrapping_sub(self.base);
-        if offset < SPAN as u64 {
-            // Common case: swap the whole bucket to the later slot.
-            let i = offset as usize;
-            debug_assert!(self.ring[i].is_empty(), "single instant queue");
-            self.ring.swap(old, i);
-            self.cursor = i;
-            self.occupied[i / 64] |= 1 << (i % 64);
-        } else {
-            // Past the window: spill through the overflow heap (empty per
-            // the single-instant check) in FIFO order. The normal window
-            // migration brings the events back; re-anchoring the window
-            // here instead would let it run ahead of `now`, which the
-            // schedule index arithmetic forbids.
-            let mut bucket = std::mem::take(&mut self.ring[old]);
-            self.ring_len -= bucket.len();
-            for event in bucket.drain(..) {
-                self.seq += 1;
-                self.overflow.push(Reverse(Overflow {
-                    key: GtKey::new(ord(new_at), self.seq),
-                    event,
-                }));
-            }
-            self.ring[old] = bucket; // keep the allocation
-        }
-        self.next_at = Some(new_at);
-        true
-    }
-
     /// The current simulation time (the timestamp of the last popped event).
     pub fn now(&self) -> Time {
         self.now
@@ -543,38 +471,6 @@ mod tests {
             }
             assert!(q.is_empty());
         }
-    }
-
-    #[test]
-    fn single_instant_and_head_events() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.single_instant(), None);
-        q.schedule(Time::from_ns(30), 'a');
-        q.schedule(Time::from_ns(30), 'b');
-        assert_eq!(q.single_instant(), Some(Time::from_ns(30)));
-        let head: Vec<char> = q.head_instant_events().copied().collect();
-        assert_eq!(head, vec!['a', 'b']);
-        q.schedule(Time::from_ns(45), 'c');
-        assert_eq!(q.single_instant(), None, "two instants pending");
-        assert_eq!(q.head_instant_events().count(), 2, "head bucket only");
-        q.pop();
-        q.pop();
-        assert_eq!(q.single_instant(), Some(Time::from_ns(45)));
-    }
-
-    #[test]
-    fn reschedule_head_instant_preserves_order() {
-        let mut q = EventQueue::new();
-        q.schedule(Time::from_ns(10), 'x');
-        q.schedule(Time::from_ns(10), 'y');
-        assert!(q.reschedule_head_instant(Time::from_ns(40)));
-        assert_eq!(q.single_instant(), Some(Time::from_ns(40)));
-        assert_eq!(q.pop(), Some((Time::from_ns(40), 'x')));
-        assert_eq!(q.pop(), Some((Time::from_ns(40), 'y')));
-        // Refused when the pending events span more than one instant.
-        q.schedule(Time::from_ns(50), 'a');
-        q.schedule(Time::from_ns(60), 'b');
-        assert!(!q.reschedule_head_instant(Time::from_ns(70)));
     }
 
     /// The reference-model property again, with the whole run straddling

@@ -1,9 +1,8 @@
 //! Byte-level pin of [`GridReport`] JSON across simulator-internals swaps.
 //!
-//! PR 4 replaces the event calendar, de-duplicates the broadcast fan-out
-//! and fast-forwards idle token waves — all of which must be *observably
-//! invisible*: the same seed has to produce the same report, byte for
-//! byte. This test pins a small but representative grid (all three
+//! Rewrites of the event calendar, the broadcast fan-out and the token
+//! network must be *observably invisible*: the same seed has to produce
+//! the same report, byte for byte. This test pins a small but representative grid (all three
 //! protocols, both address-network models, a multi-plane fabric,
 //! perturbation jitter on) against a fixture generated before the swap.
 //!
@@ -50,8 +49,8 @@ fn pin_grid() -> GridReport {
 }
 
 /// A genuinely *contended* detailed-net cell: 20 ns link occupancy on the
-/// torus, the configuration class that previously caught a fast-forward
-/// shortcut firing while transactions were still in flight. The fast /
+/// torus, where switch queues build and zero-slack transactions stall
+/// the token wave. The fast /
 /// detailed(5) grid above never builds deep switch queues, so refactors
 /// of the slack/GT bookkeeping get pinned here, where they are riskiest.
 fn contention_pin_grid_from(gt_origin: u64) -> GridReport {
