@@ -4,8 +4,6 @@
 //! The paper's target: a unified 4 MB, 4-way, 64-byte-block L2 per node
 //! (§4.2), with silent S→I downgrades allowed.
 
-use tss_sim::hash::FastMap;
-
 use crate::types::Block;
 
 /// Stable MSI states of a cached block.
@@ -82,9 +80,6 @@ pub struct L2Cache {
     cfg: CacheConfig,
     sets: Vec<Vec<Line>>,
     tick: u64,
-    /// Blocks this node has ever touched (Table 3's "total data touched"
-    /// is the union across nodes).
-    touched: FastMap<Block, ()>,
 }
 
 impl L2Cache {
@@ -100,7 +95,6 @@ impl L2Cache {
             sets: (0..cfg.sets()).map(|_| Vec::new()).collect(),
             cfg,
             tick: 0,
-            touched: FastMap::default(),
         }
     }
 
@@ -124,7 +118,6 @@ impl L2Cache {
     pub fn touch(&mut self, block: Block) -> Option<CacheState> {
         self.tick += 1;
         let tick = self.tick;
-        self.touched.insert(block, ());
         let set_idx = self.set_of(block);
         let set = &mut self.sets[set_idx];
         set.iter_mut().find(|l| l.block == block).map(|l| {
@@ -182,7 +175,6 @@ impl L2Cache {
     ) -> Option<Victim> {
         self.tick += 1;
         let tick = self.tick;
-        self.touched.insert(block, ());
         let ways = self.cfg.ways as usize;
         let set_idx = self.set_of(block);
         let set = &mut self.sets[set_idx];
@@ -215,11 +207,6 @@ impl L2Cache {
             last_use: tick,
         });
         victim
-    }
-
-    /// Number of distinct blocks ever touched by this cache.
-    pub fn touched_blocks(&self) -> u64 {
-        self.touched.len() as u64
     }
 
     /// Iterates over all currently cached (block, state, value) triples.
@@ -322,15 +309,6 @@ mod tests {
         assert_eq!(c.fill(Block(0), CacheState::Modified, 2, None), None);
         assert_eq!(c.state(Block(0)), Some(CacheState::Modified));
         assert_eq!(c.value(Block(0)), Some(2));
-    }
-
-    #[test]
-    fn touched_counts_distinct_blocks() {
-        let mut c = L2Cache::new(CacheConfig::tiny(1, 1));
-        c.fill(Block(0), CacheState::Shared, 0, None);
-        c.fill(Block(64), CacheState::Shared, 0, None); // evicts 0
-        c.touch(Block(64));
-        assert_eq!(c.touched_blocks(), 2);
     }
 
     #[test]
