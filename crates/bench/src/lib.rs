@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod harness;
 
 pub use cli::Cli;
 
