@@ -193,21 +193,21 @@ fn run_address_net(
 /// batch rule (an endpoint closes tick X only when the token advancing
 /// its GT past X arrives).
 fn check_address_net_equivalence(fabric: impl Fn() -> Fabric, slack: u64, seed: u64) {
-    check_address_net_equivalence_from(fabric, slack, seed, Gt::ZERO);
+    let injections = schedule(seed, fabric().num_nodes(), 40);
+    check_address_net_equivalence_from(fabric, slack, Gt::ZERO, &injections);
 }
 
-/// Same as [`check_address_net_equivalence`], with every guarantee-time
-/// counter seeded at `origin` — instants are origin-relative, so the logs
-/// must be identical for any origin, including ones that roll the era
-/// over mid-run.
+/// Same as [`check_address_net_equivalence`], for the schedule
+/// `injections` and with every guarantee-time counter seeded at `origin`
+/// — instants are origin-relative, so the logs must be identical for any
+/// origin, including ones that roll the era over mid-run.
 fn check_address_net_equivalence_from(
     fabric: impl Fn() -> Fabric,
     slack: u64,
-    seed: u64,
     origin: Gt,
+    injections: &[(u64, u16, u32)],
 ) {
     let n = fabric().num_nodes();
-    let injections = schedule(seed, n, 40);
     let link = Duration::from_ns(15);
 
     let fast: &mut dyn AddressNet<u32> = &mut FastOrderedNet::new(
@@ -228,8 +228,8 @@ fn check_address_net_equivalence_from(
         },
     );
 
-    let f = run_address_net(fast, &injections, n);
-    let d = run_address_net(detailed, &injections, n);
+    let f = run_address_net(fast, injections, n);
+    let d = run_address_net(detailed, injections, n);
     assert_eq!(
         f, d,
         "unloaded detailed ordering instants must be byte-identical to the \
@@ -264,8 +264,20 @@ fn address_net_equivalence_survives_era_rollover() {
     // still land on the closed-form instants (which are origin-relative
     // by construction).
     let origin = Gt::from_parts(0, Gt::TICK_MASK - 2);
-    check_address_net_equivalence_from(Fabric::torus4x4, 2, 0, origin);
-    check_address_net_equivalence_from(Fabric::butterfly16, 2, 1, origin);
+    check_address_net_equivalence_from(Fabric::torus4x4, 2, origin, &schedule(0, 16, 40));
+    check_address_net_equivalence_from(Fabric::butterfly16, 2, origin, &schedule(1, 16, 40));
+}
+
+#[test]
+fn address_net_equivalence_survives_long_idle_gaps() {
+    // Injections 50 µs apart: the detailed net simulates ~3,300 idle
+    // token waves per plane between two broadcasts, and every ordering
+    // instant must still land on the closed form.
+    let injections: Vec<(u64, u16, u32)> = (0..8u32)
+        .map(|i| (10 + 50_000 * u64::from(i), (i * 5 % 16) as u16, i))
+        .collect();
+    check_address_net_equivalence_from(Fabric::torus4x4, 2, Gt::ZERO, &injections);
+    check_address_net_equivalence_from(Fabric::butterfly16, 2, Gt::ZERO, &injections);
 }
 
 #[test]
