@@ -116,10 +116,11 @@ pub trait AddressNet<P>: Send {
     /// Request-class traffic recorded so far.
     fn ledger(&self) -> &TrafficLedger;
 
-    /// Idle token waves skipped in closed form: always 0, because both
-    /// models simulate every wave. Kept only because the frozen benchmark
-    /// package calls it (`perfbench/src/mirror.rs`); delete it with the
-    /// next change to that package.
+    /// Idle token waves skipped in closed form: always 0, since the fast
+    /// model has no waves and the detailed one simulates every wave. Kept
+    /// only because the benchmark package calls it
+    /// (`perfbench/src/mirror.rs`), which changes only together with the
+    /// benchmark definition; delete it then.
     fn waves_skipped(&self) -> u64 {
         0
     }
