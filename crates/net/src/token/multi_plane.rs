@@ -410,6 +410,53 @@ mod tests {
         assert_eq!(drain(&mut n, Time::from_ns(501_000)).len(), 16);
     }
 
+    /// Pins the four-plane path the butterfly cells run through: the
+    /// contended schedule over `butterfly16` at GT origin zero and two
+    /// ticks before an era rollover, hashing the released log and every
+    /// plane's final stats. A moved digest means per-plane event order,
+    /// the round-robin plane choice or the min-GT merge changed.
+    #[test]
+    fn contended_trace_matches_pinned_digests() {
+        use super::super::net::tests::{contended_cfg, contended_schedule, CONTENDED_END};
+        use tss_sim::hash::fingerprint128;
+        let era_edge = Gt::from_parts(0, Gt::TICK_MASK - 1);
+        for (origin, want) in [
+            (Gt::ZERO, "c72aa6562b54cd03522cd273f68be477"),
+            (era_edge, "331d2bf3759491f07c557e6f4d0f908b"),
+        ] {
+            let mut n = net(contended_cfg(origin));
+            for (at, src, payload) in contended_schedule() {
+                n.inject(at, src, payload);
+            }
+            let log: Vec<_> = drain(&mut n, CONTENDED_END)
+                .iter()
+                .map(|d| {
+                    (
+                        d.dest.0,
+                        d.src.0,
+                        d.seq,
+                        d.ot,
+                        d.arrival,
+                        d.ordered_at,
+                        *d.payload,
+                    )
+                })
+                .collect();
+            assert_eq!(log.len(), 48 * 16, "every copy released");
+            let stats: Vec<String> = n
+                .planes
+                .iter()
+                .map(|p| format!("{:?}", p.stats()))
+                .collect();
+            let digest = fingerprint128(format!("{log:?} {stats:?}").as_bytes());
+            assert_eq!(
+                format!("{digest:032x}"),
+                want,
+                "four-plane trace moved at origin {origin:?}"
+            );
+        }
+    }
+
     #[test]
     fn torus_single_plane_works_through_the_same_api() {
         let mut n: MultiPlaneNet<u32> =

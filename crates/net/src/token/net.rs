@@ -647,7 +647,7 @@ impl<P> DetailedNet<P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
 
     fn unloaded(fabric: Fabric, slack: u64) -> DetailedNet<u32> {
@@ -918,20 +918,32 @@ mod tests {
     }
 
     /// A contended mixed workload: bursty same-instant injections from
-    /// rotating sources, with link occupancy > latency so buffering,
-    /// LinkFree re-arms and token stalls all occur.
-    fn drive_contended(net: &mut DetailedNet<u32>) -> (Vec<TraceRow>, String) {
+    /// rotating sources, as `(instant, source, payload)`. Run with
+    /// [`contended_cfg`] (link occupancy > latency) so buffering, LinkFree
+    /// re-arms and token stalls all occur.
+    pub(in crate::token) fn contended_schedule() -> Vec<(Time, NodeId, u32)> {
         let mut t = 10u64;
-        for i in 0..48u32 {
-            let src = NodeId((i * 5 % 16) as u16);
-            net.inject(Time::from_ns(t), src, i);
-            t += if i % 3 == 0 { 0 } else { 17 };
+        (0..48u32)
+            .map(|i| {
+                let at = Time::from_ns(t);
+                t += if i % 3 == 0 { 0 } else { 17 };
+                (at, NodeId((i * 5 % 16) as u16), i)
+            })
+            .collect()
+    }
+
+    /// Instant the contended schedule runs to; every copy is out by then.
+    pub(in crate::token) const CONTENDED_END: Time = Time::from_ns(60_000);
+
+    fn drive_contended(net: &mut DetailedNet<u32>) -> (Vec<TraceRow>, String) {
+        for (at, src, payload) in contended_schedule() {
+            net.inject(at, src, payload);
         }
-        net.run_until(Time::from_ns(60_000));
+        net.run_until(CONTENDED_END);
         full_trace(net)
     }
 
-    fn contended_cfg(gt_origin: Gt) -> DetailedNetConfig {
+    pub(in crate::token) fn contended_cfg(gt_origin: Gt) -> DetailedNetConfig {
         DetailedNetConfig {
             link_occupancy: Duration::from_ns(40),
             initial_slack: 3,
