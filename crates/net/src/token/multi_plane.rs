@@ -153,21 +153,6 @@ impl<P> MultiPlaneNet<P> {
         }
     }
 
-    /// Pushes one plane delivery into its endpoint's merge heap.
-    fn push_merge(&mut self, plane: usize, d: Delivery<P>) {
-        // Per-source sequence numbers are per-plane; recover a
-        // global tiebreak from (plane count, seq) structure:
-        // within one source, plane assignment is round-robin,
-        // so (seq * planes + plane) restores injection order.
-        let seq_global = d.seq * self.planes.len() as u64 + plane as u64;
-        let e = MergeEntry {
-            key: GtKey::with_src_seq(d.ot, d.src.0, seq_global),
-            delivery: d,
-        };
-        self.merge[e.delivery.dest.index()].push(Reverse(e));
-        self.merge_pending += 1;
-    }
-
     /// Releases every merged entry below its node's min-GT frontier,
     /// stamped `at`, in (node, key) order.
     fn release_frontier(&mut self, at: Time) {
@@ -189,11 +174,23 @@ impl<P> MultiPlaneNet<P> {
     }
 
     /// Collects per-plane deliveries into the per-endpoint merge heaps and
-    /// releases everything below the min-GT frontier, stamped `at`.
+    /// releases everything below the min-GT frontier, stamped `at`. Each
+    /// plane's delivery buffer is drained in place, keeping its capacity.
     fn collect_and_release(&mut self, at: Time) {
-        for plane in 0..self.planes.len() {
-            for d in self.planes[plane].take_deliveries() {
-                self.push_merge(plane, d);
+        let planes = self.planes.len() as u64;
+        for (plane, net) in self.planes.iter_mut().enumerate() {
+            for d in net.drain_deliveries() {
+                // Per-source sequence numbers are per-plane; recover a
+                // global tiebreak from (plane count, seq) structure:
+                // within one source, plane assignment is round-robin,
+                // so (seq * planes + plane) restores injection order.
+                let seq_global = d.seq * planes + plane as u64;
+                let e = MergeEntry {
+                    key: GtKey::with_src_seq(d.ot, d.src.0, seq_global),
+                    delivery: d,
+                };
+                self.merge[e.delivery.dest.index()].push(Reverse(e));
+                self.merge_pending += 1;
             }
         }
         if self.merge_pending == 0 {

@@ -7,6 +7,19 @@
 //! at least one link latency or occupancy period ahead — and the calendar
 //! breaks same-instant ties FIFO, so a run is a pure function of its
 //! configuration and injection schedule.
+//!
+//! Two choices keep the event loop cheap without moving any event in the
+//! simulated order:
+//!
+//! - **Fused token fan-out.** A vertex that fires `count` times sends
+//!   `count` tokens on every out-link, all one link latency ahead. Those
+//!   tokens would sit next to each other in the same FIFO bucket, so one
+//!   [`Ev::Tokens`] event delivers them all, in port order — exactly the
+//!   order the per-link events would have been popped in, since no handler
+//!   can schedule between them.
+//! - **Slab-indexed transaction copies.** Every in-flight or buffered
+//!   transaction copy lives in a per-net [`Slab`]; hop events and switch
+//!   buffers carry its `u32` slot, so a hop allocates nothing.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -83,7 +96,6 @@ struct FlightTxn<P> {
     seq: u64,
     ot: Gt,
     slack: u64,
-    injected_at: Time,
     payload: Arc<P>,
 }
 
@@ -95,28 +107,77 @@ impl<P> Clone for FlightTxn<P> {
             seq: self.seq,
             ot: self.ot,
             slack: self.slack,
-            injected_at: self.injected_at,
             payload: Arc::clone(&self.payload),
         }
     }
 }
 
-/// What travels over a link. Tokens outnumber transactions by orders of
-/// magnitude (every link carries one token per wave), so the transaction
-/// payload is boxed: an `Item` — and with it every calendar event — is
-/// one word plus the link id, and the token hot path never memcpys the
-/// fat `FlightTxn`.
+/// Storage for the in-flight transaction copies, addressed by `u32` slot.
+/// Freed slots are reused last-in first-out, so a steady-state run stops
+/// allocating once the slab has grown to its peak occupancy.
 #[derive(Debug)]
-enum Item<P> {
-    Token,
-    Txn(Box<FlightTxn<P>>),
+struct Slab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
 }
 
-#[derive(Debug)]
-enum Ev<P> {
-    Deliver { link: LinkId, item: Item<P> },
+impl<T> Slab<T> {
+    fn new() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, value: T) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(value);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("slab outgrew u32 slots");
+                self.slots.push(Some(value));
+                slot
+            }
+        }
+    }
+
+    fn get(&self, slot: u32) -> &T {
+        self.slots[slot as usize].as_ref().expect("live slab slot")
+    }
+
+    fn get_mut(&mut self, slot: u32) -> &mut T {
+        self.slots[slot as usize].as_mut().expect("live slab slot")
+    }
+
+    fn remove(&mut self, slot: u32) -> T {
+        let value = self.slots[slot as usize].take().expect("live slab slot");
+        self.free.push(slot);
+        value
+    }
+}
+
+/// One calendar event. Tokens outnumber transactions by orders of
+/// magnitude, so an event carries no payload: a token event names the
+/// firing vertex, and a transaction hop names its copy's [`Slab`] slot.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    /// `from` fired `count` times one link latency ago: `count` rounds of
+    /// tokens arrive over its out-links, in port order.
+    Tokens { from: Vertex, count: u32 },
+    /// The transaction copy in slab slot `slot` arrives over `link`.
+    Txn { link: LinkId, slot: u32 },
+    /// `link` may be free for the next buffered copy.
     LinkFree { link: LinkId },
 }
+
+// The token net's calendar event pin: three words of `u32` (see the
+// `size-pins` CI check).
+const _: () = assert!(
+    std::mem::size_of::<Ev>() <= 12,
+    "token-net calendar event grew past 12 bytes"
+);
 
 #[derive(Debug)]
 struct ReorderEntry<P> {
@@ -191,9 +252,12 @@ pub struct DetailedNet<P> {
     /// The fabric plane this net simulates; each plane is an independent
     /// token domain.
     plane: usize,
-    cores: Vec<Option<SwitchCore<FlightTxn<P>>>>,
+    /// Per-vertex token core; a switch buffer entry is a [`Slab`] slot.
+    cores: Vec<Option<SwitchCore<u32>>>,
     endpoints: Vec<EndpointExtra<P>>,
-    events: EventQueue<Ev<P>>,
+    events: EventQueue<Ev>,
+    /// Every transaction copy in flight on a link or buffered in a switch.
+    flights: Slab<FlightTxn<P>>,
     now: Time,
     next_free: Vec<Time>,
     free_scheduled: Vec<bool>,
@@ -202,8 +266,10 @@ pub struct DetailedNet<P> {
     /// Per-link `(destination vertex, destination in-port)` — the two
     /// facts every delivery needs, packed into one lookup.
     link_dest: Vec<(u32, u32)>,
-    /// Per-vertex out-links on this plane, in port order.
-    vertex_out_links: Vec<Vec<LinkId>>,
+    /// `link_dest` of every vertex's out-links on this plane, in port
+    /// order: vertex `v`'s run is `out_dest[out_start[v]..out_start[v + 1]]`.
+    out_start: Vec<u32>,
+    out_dest: Vec<(u32, u32)>,
     num_nodes: usize,
     /// Transaction copies parked in endpoint reorder queues (skip the
     /// per-wave per-node reorder peeks when zero).
@@ -276,6 +342,13 @@ impl<P> DetailedNet<P> {
             .enumerate()
             .map(|(i, l)| (l.to.0, in_port_idx[i]))
             .collect();
+        let mut out_start = Vec::with_capacity(nv + 1);
+        let mut out_dest = Vec::new();
+        for links in &vertex_out_links {
+            out_start.push(out_dest.len() as u32);
+            out_dest.extend(links.iter().map(|l| link_dest[l.index()]));
+        }
+        out_start.push(out_dest.len() as u32);
         let ledger = TrafficLedger::new(&fabric);
         let mut net = DetailedNet {
             endpoints: (0..fabric.num_nodes())
@@ -283,12 +356,14 @@ impl<P> DetailedNet<P> {
                 .collect(),
             cores,
             events: EventQueue::new(),
+            flights: Slab::new(),
             now: Time::ZERO,
             next_free: vec![Time::ZERO; fabric.links().len()],
             free_scheduled: vec![false; fabric.links().len()],
             out_port_idx,
             link_dest,
-            vertex_out_links,
+            out_start,
+            out_dest,
             num_nodes: fabric.num_nodes(),
             reorder_parked: 0,
             deliveries: Vec::new(),
@@ -314,6 +389,12 @@ impl<P> DetailedNet<P> {
         std::mem::take(&mut self.deliveries)
     }
 
+    /// Drains the deliveries processed so far, in processing order, while
+    /// keeping the buffer's capacity for the next instant.
+    pub(crate) fn drain_deliveries(&mut self) -> std::vec::Drain<'_, Delivery<P>> {
+        self.deliveries.drain(..)
+    }
+
     /// The current guarantee time of endpoint `node` (origin plus tokens
     /// processed).
     pub fn endpoint_gt(&self, node: NodeId) -> Gt {
@@ -326,6 +407,14 @@ impl<P> DetailedNet<P> {
     /// [`DetailedNet::run_until`] next.
     pub fn next_event_at(&self) -> Option<Time> {
         self.events.peek_time()
+    }
+
+    /// Calendar events this net has processed so far: the exact host-side
+    /// work count of its event loop (one per vertex firing round, per
+    /// transaction hop and per link-free check). Deliberately not part of
+    /// [`DetailedNetStats`], which describes the simulated run only.
+    pub fn calendar_pops(&self) -> u64 {
+        self.events.events_processed()
     }
 
     /// Endpoint-copies injected but not yet handed out through
@@ -377,19 +466,17 @@ impl<P> DetailedNet<P> {
         let ot = gt.wrapping_add(max_depth + self.cfg.initial_slack);
         let seq = self.endpoints[src.index()].next_seq;
         self.endpoints[src.index()].next_seq += 1;
-        let payload = Arc::new(payload);
 
         // The source snoops its own transaction through the network like
         // everyone else: the broadcast tree re-delivers to the root.
-        let ft = FlightTxn {
+        let slot = self.flights.insert(FlightTxn {
             src,
             seq,
             ot,
             slack: self.cfg.initial_slack,
-            injected_at: now,
-            payload,
-        };
-        self.forward_branches(Vertex::node(src), ft);
+            payload: Arc::new(payload),
+        });
+        self.forward_branches(Vertex::node(src), slot);
         self.ledger
             .record_tree(self.fabric.tree(self.plane, src), MsgClass::Request);
         self.injected += 1;
@@ -404,7 +491,8 @@ impl<P> DetailedNet<P> {
             let (at, ev) = self.events.pop().expect("peeked");
             self.now = at;
             match ev {
-                Ev::Deliver { link, item } => self.deliver(link, item),
+                Ev::Tokens { from, count } => self.tokens_arrive(from, count),
+                Ev::Txn { link, slot } => self.txn_arrives(link, slot),
                 Ev::LinkFree { link } => {
                     self.free_scheduled[link.index()] = false;
                     self.link_freed(link);
@@ -416,13 +504,13 @@ impl<P> DetailedNet<P> {
         }
     }
 
-    fn core(&mut self, v: Vertex) -> &mut SwitchCore<FlightTxn<P>> {
+    fn core(&mut self, v: Vertex) -> &mut SwitchCore<u32> {
         self.cores[v.index()]
             .as_mut()
             .expect("vertex participates in this plane")
     }
 
-    fn core_ref(&self, v: Vertex) -> &SwitchCore<FlightTxn<P>> {
+    fn core_ref(&self, v: Vertex) -> &SwitchCore<u32> {
         self.cores[v.index()]
             .as_ref()
             .expect("vertex participates in this plane")
@@ -430,34 +518,40 @@ impl<P> DetailedNet<P> {
 
     /// Schedules a follow-up event; never at the open instant (see the
     /// module docs).
-    fn schedule(&mut self, at: Time, ev: Ev<P>) {
+    fn schedule(&mut self, at: Time, ev: Ev) {
         debug_assert!(at > self.now, "emission at the open instant");
         self.events.schedule(at, ev);
     }
 
-    fn deliver(&mut self, link: LinkId, item: Item<P>) {
-        let (to, port) = self.link_dest[link.index()];
-        let (to, port) = (Vertex(to), port as usize);
-        match item {
-            Item::Token => {
-                // Fused token path: one core lookup serves both the
-                // arrival and the propagation-readiness test, and the
-                // cascade is entered only when this token completed a
-                // wave at `to` (the common miss is one compare).
-                let core = self.core(to);
-                core.token_arrives(port);
+    /// Delivers `count` rounds of tokens over `from`'s out-links, in port
+    /// order. One core lookup per token serves both the arrival and the
+    /// propagation-readiness test, and the cascade is entered only when
+    /// the token completed a wave at its destination.
+    fn tokens_arrive(&mut self, from: Vertex, count: u32) {
+        let outs = self.out_start[from.index()] as usize..self.out_start[from.index() + 1] as usize;
+        for _ in 0..count {
+            for i in outs.clone() {
+                let (to, port) = self.out_dest[i];
+                let core = self.core(Vertex(to));
+                core.token_arrives(port as usize);
                 if core.can_propagate() {
-                    self.cascade(to);
+                    self.cascade(Vertex(to));
                 }
             }
-            Item::Txn(boxed) => {
-                let mut ft = *boxed;
-                ft.slack = self.core(to).txn_enters(port, ft.slack); // rule 1
-                match to.as_node(self.num_nodes) {
-                    Some(node) => self.endpoint_receives(node, ft),
-                    None => self.forward_branches(to, ft),
-                }
+        }
+    }
+
+    fn txn_arrives(&mut self, link: LinkId, slot: u32) {
+        let (to, port) = self.link_dest[link.index()];
+        let to = Vertex(to);
+        let slack = self.flights.get(slot).slack;
+        self.flights.get_mut(slot).slack = self.core(to).txn_enters(port as usize, slack); // rule 1
+        match to.as_node(self.num_nodes) {
+            Some(node) => {
+                let ft = self.flights.remove(slot);
+                self.endpoint_receives(node, ft);
             }
+            None => self.forward_branches(to, slot),
         }
     }
 
@@ -528,42 +622,44 @@ impl<P> DetailedNet<P> {
         }
     }
 
-    /// Forwards a transaction along its broadcast-tree branches leaving
-    /// `v`, sending immediately where the link is free and buffering
-    /// otherwise.
-    fn forward_branches(&mut self, v: Vertex, ft: FlightTxn<P>) {
+    /// Forwards the copy in `slot` along its broadcast-tree branches
+    /// leaving `v`, sending immediately where the link is free and
+    /// buffering otherwise. Every branch but the last takes a fresh copy;
+    /// the last one reuses `slot`.
+    fn forward_branches(&mut self, v: Vertex, slot: u32) {
         // A second handle on the fabric lets the tree be walked while the
         // sends mutate `self` — no per-hop branch buffer needed.
         let fabric = Arc::clone(&self.fabric);
-        let tree = fabric.tree(self.plane, ft.src);
-        for &i in tree.branches_from(v) {
+        let tree = fabric.tree(self.plane, self.flights.get(slot).src);
+        let Some((&last, rest)) = tree.branches_from(v).split_last() else {
+            self.flights.remove(slot);
+            return;
+        };
+        for &i in rest {
             let e = tree.edges[i as usize];
-            self.send_or_buffer(v, e.link, e.delta_d as u64, ft.clone());
+            let copy = self.flights.insert(self.flights.get(slot).clone());
+            self.send_or_buffer(v, e.link, e.delta_d as u64, copy);
         }
+        let e = tree.edges[last as usize];
+        self.send_or_buffer(v, e.link, e.delta_d as u64, slot);
     }
 
-    /// Sends `ft` over `link` if it is free, else buffers it in `v` — the
-    /// only place a switch buffer grows, so the provisioning check
-    /// ([`DetailedNetConfig::buffer_depth`]) lives here.
-    fn send_or_buffer(&mut self, v: Vertex, link: LinkId, delta_d: u64, mut ft: FlightTxn<P>) {
+    /// Sends the copy in `slot` over `link` if it is free, else buffers it
+    /// in `v` — the only place a switch buffer grows, so the provisioning
+    /// check ([`DetailedNetConfig::buffer_depth`]) lives here.
+    fn send_or_buffer(&mut self, v: Vertex, link: LinkId, delta_d: u64, slot: u32) {
         let li = link.index();
         if self.next_free[li] <= self.now {
-            ft.slack += delta_d; // rule 3
+            self.flights.get_mut(slot).slack += delta_d; // rule 3
             let at = self.now + self.cfg.link_latency;
             self.next_free[li] = self.now + self.cfg.link_occupancy;
-            self.schedule(
-                at,
-                Ev::Deliver {
-                    link,
-                    item: Item::Txn(Box::new(ft)),
-                },
-            );
+            self.schedule(at, Ev::Txn { link, slot });
         } else {
             let out_port = self.out_port_idx[li] as usize;
-            let slack = ft.slack;
+            let slack = self.flights.get(slot).slack;
             let depth = self.cfg.buffer_depth;
             let core = self.core(v);
-            core.buffer(out_port, slack, delta_d, ft);
+            core.buffer(out_port, slack, delta_d, slot);
             let high = core.buffer_high_water();
             assert!(
                 high <= depth as usize,
@@ -593,16 +689,11 @@ impl<P> DetailedNet<P> {
         }
         let from = self.fabric.links()[li].from;
         let out_port = self.out_port_idx[li] as usize;
-        if let Some((slack, ft)) = self.core(from).pop_sendable(out_port) {
+        if let Some((slack, slot)) = self.core(from).pop_sendable(out_port) {
+            self.flights.get_mut(slot).slack = slack;
             let at = self.now + self.cfg.link_latency;
             self.next_free[li] = self.now + self.cfg.link_occupancy;
-            self.schedule(
-                at,
-                Ev::Deliver {
-                    link,
-                    item: Item::Txn(Box::new(FlightTxn { slack, ..ft })),
-                },
-            );
+            self.schedule(at, Ev::Txn { link, slot });
             if self.core_ref(from).queued(out_port) > 0 {
                 self.arm_link_free(link);
             }
@@ -612,32 +703,23 @@ impl<P> DetailedNet<P> {
     }
 
     /// Fires the propagation handshake at `v` as many times as it can,
-    /// emitting tokens on every output link each time, and advancing the
-    /// endpoint reorder queue when `v` is a node.
+    /// scheduling one [`Ev::Tokens`] for all the rounds it fired, and
+    /// advancing the endpoint reorder queue when `v` is a node.
     fn cascade(&mut self, v: Vertex) {
         let Some(core) = self.cores[v.index()].as_mut() else {
             return;
         };
-        let mut fired = 0;
+        let mut count = 0;
         while core.propagate() {
-            fired += 1;
+            count += 1;
         }
-        if fired == 0 {
+        if count == 0 {
             return;
         }
-        // `fired` tokens per output link, all one link latency ahead.
-        let at = self.now + self.cfg.link_latency;
-        for _ in 0..fired {
-            for &link in &self.vertex_out_links[v.index()] {
-                self.events.schedule(
-                    at,
-                    Ev::Deliver {
-                        link,
-                        item: Item::Token,
-                    },
-                );
-            }
-        }
+        self.schedule(
+            self.now + self.cfg.link_latency,
+            Ev::Tokens { from: v, count },
+        );
         if self.reorder_parked > 0 {
             if let Some(node) = v.as_node(self.num_nodes) {
                 self.drain_reorder(node);
@@ -1005,6 +1087,21 @@ pub(super) mod tests {
         let (log, _) = drive_contended(&mut net);
         assert_eq!(log.len(), 48 * 16, "every copy delivered");
         net
+    }
+
+    /// Pins the event loop's exact work: one calendar pop per vertex
+    /// firing (not per link token), per transaction hop and per link-free
+    /// check. Idle to 150 ns is ten waves after the kick at t = 0.
+    #[test]
+    fn calendar_pops_are_pinned() {
+        let idle = |fabric: Fabric| {
+            let mut net = unloaded(fabric, 2);
+            net.run_until(Time::from_ns(150));
+            net.calendar_pops()
+        };
+        assert_eq!(idle(Fabric::torus4x4()), 10 * 32); // 32 vertices
+        assert_eq!(idle(Fabric::butterfly(4, 2, 1)), 10 * 24); // 24 vertices
+        assert_eq!(contended_torus(None).calendar_pops(), 127_402);
     }
 
     #[test]

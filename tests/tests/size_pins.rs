@@ -10,8 +10,10 @@
 //!
 //! The in-crate companions (compile-time `const` asserts next to the type
 //! definitions) catch the same regressions at build time; this test is
-//! the single place CI names them all, including the private calendar
-//! overflow entry pinned inside `tss_sim::queue`.
+//! the single place CI names them all, including two private pins: the
+//! calendar overflow entry inside `tss_sim::queue` (≤ 16 bytes) and the
+//! detailed token net's calendar event `Ev` inside
+//! `tss_net::token::net` (≤ 12 bytes).
 
 use std::mem::size_of;
 
