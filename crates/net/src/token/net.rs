@@ -172,8 +172,8 @@ enum Ev {
     LinkFree { link: LinkId },
 }
 
-// The token net's calendar event pin: three words of `u32` (see the
-// `size-pins` CI check).
+// The token net's calendar event pin: a tag and two `u32` fields (see
+// the `size-pins` CI check).
 const _: () = assert!(
     std::mem::size_of::<Ev>() <= 12,
     "token-net calendar event grew past 12 bytes"
