@@ -179,14 +179,16 @@ impl<P> MultiPlaneNet<P> {
     fn collect_and_release(&mut self, at: Time) {
         let planes = self.planes.len() as u64;
         for (plane, net) in self.planes.iter_mut().enumerate() {
-            for d in net.drain_deliveries() {
-                // Per-source sequence numbers are per-plane; recover a
-                // global tiebreak from (plane count, seq) structure:
-                // within one source, plane assignment is round-robin,
-                // so (seq * planes + plane) restores injection order.
-                let seq_global = d.seq * planes + plane as u64;
+            for mut d in net.drain_deliveries() {
+                // Per-source sequence numbers are per-plane; recover the
+                // per-source injection index from (plane count, seq)
+                // structure: within one source, plane assignment is
+                // round-robin from plane 0, so (seq * planes + plane) is
+                // exactly the injection order. It is both the merge
+                // tiebreak and the released `Delivery::seq`.
+                d.seq = d.seq * planes + plane as u64;
                 let e = MergeEntry {
-                    key: GtKey::with_src_seq(d.ot, d.src.0, seq_global),
+                    key: GtKey::with_src_seq(d.ot, d.src.0, d.seq),
                     delivery: d,
                 };
                 self.merge[e.delivery.dest.index()].push(Reverse(e));
@@ -418,8 +420,8 @@ mod tests {
         use tss_sim::hash::fingerprint128;
         let era_edge = Gt::from_parts(0, Gt::TICK_MASK - 1);
         for (origin, want) in [
-            (Gt::ZERO, "c72aa6562b54cd03522cd273f68be477"),
-            (era_edge, "331d2bf3759491f07c557e6f4d0f908b"),
+            (Gt::ZERO, "1b765c527f55bf47cad69f2c4d42ab26"),
+            (era_edge, "a0f9fda240841a222ce1b25822d6a8cf"),
         ] {
             let mut n = net(contended_cfg(origin));
             for (at, src, payload) in contended_schedule() {

@@ -19,6 +19,9 @@ use tss_sim::{Duration, Gt, Time};
 /// Per-endpoint (payload, ordered_at) delivery sequences.
 type EndpointLogs = Vec<Vec<(u32, u64)>>;
 
+/// Per-endpoint (payload, seq, ordered_at) delivery sequences.
+type SeqLogs = Vec<Vec<(u32, u64, u64)>>;
+
 /// Runs the same injection schedule through both models and returns
 /// per-endpoint (payload, ordered_at) sequences.
 fn run_both(
@@ -155,19 +158,19 @@ fn detailed_net_survives_contention_where_fast_cannot_model_it() {
 
 /// Drives an [`AddressNet`] exactly the way `System`'s event loop does:
 /// poll `drain_into` at every `next_ready` hint, interleaved in time order with
-/// the injections. Returns per-endpoint `(payload, ordering instant)`
-/// sequences.
+/// the injections. Returns per-endpoint `(payload, per-source sequence
+/// number, ordering instant)` sequences.
 fn run_address_net(
     net: &mut dyn AddressNet<u32>,
     injections: &[(u64, u16, u32)],
     n: usize,
-) -> EndpointLogs {
-    let mut out: EndpointLogs = vec![Vec::new(); n];
+) -> SeqLogs {
+    let mut out: SeqLogs = vec![Vec::new(); n];
     // One reused delivery buffer, exactly like `System`'s event loop.
     let mut ds: Vec<AddrDelivery<u32>> = Vec::new();
-    let record = |out: &mut EndpointLogs, ds: &mut Vec<AddrDelivery<u32>>| {
+    let record = |out: &mut SeqLogs, ds: &mut Vec<AddrDelivery<u32>>| {
         for d in ds.drain(..) {
-            out[d.dest.index()].push((*d.payload, d.ordered_at.as_ns()));
+            out[d.dest.index()].push((*d.payload, d.seq, d.ordered_at.as_ns()));
         }
     };
     for &(t, src, payload) in injections {
@@ -187,7 +190,7 @@ fn run_address_net(
 /// The tentpole equivalence claim, asserted byte for byte: through the
 /// [`AddressNet`] trait, an **unloaded** (`link_occupancy = 0`)
 /// detailed token network with initial slack `S` produces the same
-/// per-endpoint `(payload, ordering instant)` sequences as the fast
+/// per-endpoint `(payload, seq, ordering instant)` sequences as the fast
 /// closed-form model configured with uniform link timing and slack
 /// `S + 1` — the one extra tick being the detailed model's conservative
 /// batch rule (an endpoint closes tick X only when the token advancing
