@@ -409,21 +409,51 @@ mod tests {
         assert_eq!(drain(&mut n, Time::from_ns(501_000)).len(), 16);
     }
 
-    /// Pins the four-plane path the butterfly cells run through: the
-    /// contended schedule over `butterfly16` at GT origin zero and two
-    /// ticks before an era rollover, hashing the released log and every
-    /// plane's final stats. A moved digest means per-plane event order,
-    /// the round-robin plane choice or the min-GT merge changed.
+    /// Pins the path the System runs: the contended schedule's released
+    /// log — each instant's copies in (node, key) order — plus every
+    /// plane's final stats, on all three fabrics at GT origin zero and two
+    /// ticks before an era rollover. A moved digest means event order,
+    /// §2.2 rule processing, the round-robin plane choice or the min-GT
+    /// merge changed.
     #[test]
     fn contended_trace_matches_pinned_digests() {
         use super::super::net::tests::{contended_cfg, contended_schedule, CONTENDED_END};
         use tss_sim::hash::fingerprint128;
         let era_edge = Gt::from_parts(0, Gt::TICK_MASK - 1);
-        for (origin, want) in [
-            (Gt::ZERO, "1b765c527f55bf47cad69f2c4d42ab26"),
-            (era_edge, "a0f9fda240841a222ce1b25822d6a8cf"),
-        ] {
-            let mut n = net(contended_cfg(origin));
+        let cases = [
+            (
+                Fabric::torus4x4(),
+                Gt::ZERO,
+                "587aa6d25b82dee4aa2077ce29e858bf",
+            ),
+            (
+                Fabric::torus4x4(),
+                era_edge,
+                "239b028e5603f1c6092a1698fd10b398",
+            ),
+            (
+                Fabric::butterfly(4, 2, 1),
+                Gt::ZERO,
+                "979c28b3e71743a193d037425df428a1",
+            ),
+            (
+                Fabric::butterfly(4, 2, 1),
+                era_edge,
+                "ba26d6349930556b3b5e53e51e93ae40",
+            ),
+            (
+                Fabric::butterfly16(),
+                Gt::ZERO,
+                "1b765c527f55bf47cad69f2c4d42ab26",
+            ),
+            (
+                Fabric::butterfly16(),
+                era_edge,
+                "a0f9fda240841a222ce1b25822d6a8cf",
+            ),
+        ];
+        for (fabric, origin, want) in cases {
+            let mut n = MultiPlaneNet::new(Arc::new(fabric), contended_cfg(origin));
             for (at, src, payload) in contended_schedule() {
                 n.inject(at, src, payload);
             }
@@ -451,7 +481,8 @@ mod tests {
             assert_eq!(
                 format!("{digest:032x}"),
                 want,
-                "four-plane trace moved at origin {origin:?}"
+                "released trace moved on {} planes at origin {origin:?}",
+                n.planes()
             );
         }
     }
