@@ -184,7 +184,7 @@ fn contention_ablation() {
             t += 40;
         }
         net.run_until(Time::from_ns(1_000_000));
-        let s = net.stats();
+        let s = &net.stats()[0]; // the torus is one plane
         println!(
             "{:>10}ns {:>12} {:>12.0}ns {:>12}ns {:>12}",
             occupancy_ns,

@@ -7,14 +7,14 @@
 //! * the **fast** closed-form model ([`tss_net::FastOrderedNet`]) — the
 //!   unloaded assumption of §4.3, where every broadcast's ordering
 //!   instant is computed analytically;
-//! * the **detailed** token-passing model ([`tss_net::DetailedNet`],
-//!   composed per plane by [`tss_net::MultiPlaneNet`]) — every token and
-//!   transaction hop simulated, with optional link occupancy creating
-//!   the contention the paper leaves unmeasured.
+//! * the **detailed** token-passing model ([`tss_net::DetailedNet`]) —
+//!   every token and transaction hop on every fabric plane simulated on
+//!   one calendar, with optional link occupancy creating the contention
+//!   the paper leaves unmeasured.
 //!
 //! [`AddressNet`] is the seam between them, implemented directly on
-//! [`FastOrderedNet`] and [`MultiPlaneNet`]; both hand out the one
-//! delivery type [`tss_net::Delivery`] (re-exported as [`AddrDelivery`]).
+//! [`FastOrderedNet`] and [`DetailedNet`]; both hand out the one delivery
+//! type [`tss_net::Delivery`] (re-exported as [`AddrDelivery`]).
 //! It is a *polled* interface built around three calls:
 //!
 //! 1. [`AddressNet::inject`] broadcasts a payload and returns a **poll
@@ -48,7 +48,7 @@
 //! use std::sync::Arc;
 //! use tss::address_net::AddressNet;
 //! use tss_net::{
-//!     DetailedNetConfig, Fabric, FastOrderedNet, MultiPlaneNet, NodeId, OrderedNetTiming,
+//!     DetailedNet, DetailedNetConfig, Fabric, FastOrderedNet, NodeId, OrderedNetTiming,
 //! };
 //! use tss_sim::{Duration, Time};
 //!
@@ -66,7 +66,7 @@
 //! let fabric = Arc::new(Fabric::torus4x4());
 //! // Detailed model: 15 ns links, slack 2, unloaded. Fast model: uniform
 //! // 15 ns links, slack 3 = 2 + the detailed model's conservative tick.
-//! let detailed = ordered_at(&mut MultiPlaneNet::new(
+//! let detailed = ordered_at(&mut DetailedNet::new(
 //!     Arc::clone(&fabric),
 //!     DetailedNetConfig::default(),
 //! ));
@@ -81,8 +81,7 @@
 use std::sync::Arc;
 
 use tss_net::{
-    DetailedNetConfig, Fabric, FastOrderedNet, MultiPlaneNet, NodeId, OrderedNetTiming,
-    TrafficLedger,
+    DetailedNet, DetailedNetConfig, Fabric, FastOrderedNet, NodeId, OrderedNetTiming, TrafficLedger,
 };
 use tss_sim::{Gt, Time};
 
@@ -150,16 +149,16 @@ impl<P: Send + Sync> AddressNet<P> for FastOrderedNet<P> {
 /// transactions queue in switches and zero-slack transactions stall the
 /// token wave, so every ordering instant the coherence protocol observes
 /// slips later — the contention feedback the fast model cannot express.
-impl<P: Send + Sync + 'static> AddressNet<P> for MultiPlaneNet<P> {
+impl<P: Send + Sync + 'static> AddressNet<P> for DetailedNet<P> {
     fn inject(&mut self, now: Time, src: NodeId, payload: P) -> Time {
-        MultiPlaneNet::inject(self, now, src, payload);
+        DetailedNet::inject(self, now, src, payload);
         // The ordering instant is not known in closed form; hand back the
         // next internal event horizon and let the poll chain walk forward.
         self.next_event_at().expect("token circulation never stops")
     }
 
     fn drain_into(&mut self, now: Time, out: &mut Vec<AddrDelivery<P>>) {
-        MultiPlaneNet::drain_into(self, now, out);
+        DetailedNet::drain_into(self, now, out);
     }
 
     fn next_ready(&self) -> Option<Time> {
@@ -170,7 +169,7 @@ impl<P: Send + Sync + 'static> AddressNet<P> for MultiPlaneNet<P> {
     }
 
     fn ledger(&self) -> &TrafficLedger {
-        MultiPlaneNet::ledger(self)
+        DetailedNet::ledger(self)
     }
 }
 
@@ -210,7 +209,7 @@ pub fn build_address_net<P: Send + Sync + 'static>(
             link_occupancy,
             initial_slack,
             buffer_depth,
-        } => Box::new(MultiPlaneNet::new(
+        } => Box::new(DetailedNet::new(
             fabric,
             DetailedNetConfig {
                 link_latency: timing.d_switch,
@@ -257,7 +256,7 @@ mod tests {
     fn detailed_adapter_delivers_everywhere_and_quiesces() {
         let fabric = Arc::new(Fabric::butterfly16());
         let net: &mut dyn AddressNet<u32> =
-            &mut MultiPlaneNet::new(fabric, DetailedNetConfig::default());
+            &mut DetailedNet::new(fabric, DetailedNetConfig::default());
         for i in 0..6 {
             net.inject(Time::from_ns(40 + 3 * i), NodeId(i as u16), i as u32);
         }
@@ -277,7 +276,7 @@ mod tests {
     fn detailed_adapter_contention_delays_ordering() {
         let run = |occ: u64| {
             let fabric = Arc::new(Fabric::torus4x4());
-            let net: &mut dyn AddressNet<u32> = &mut MultiPlaneNet::new(
+            let net: &mut dyn AddressNet<u32> = &mut DetailedNet::new(
                 fabric,
                 DetailedNetConfig {
                     link_occupancy: Duration::from_ns(occ),
@@ -304,7 +303,7 @@ mod tests {
     #[should_panic(expected = "provisioned switch buffering")]
     fn detailed_adapter_enforces_buffer_depth() {
         let fabric = Arc::new(Fabric::torus4x4());
-        let net: &mut dyn AddressNet<u32> = &mut MultiPlaneNet::new(
+        let net: &mut dyn AddressNet<u32> = &mut DetailedNet::new(
             fabric,
             DetailedNetConfig {
                 link_occupancy: Duration::from_ns(60),

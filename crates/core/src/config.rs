@@ -291,9 +291,9 @@ impl serde::Deserialize for TopologyKind {
 ///   instant is computed analytically; simulation cost is O(1) per
 ///   broadcast.
 /// * [`Detailed`](NetworkModelSpec::Detailed) — the literal token-passing
-///   network ([`tss_net::MultiPlaneNet`] over [`tss_net::DetailedNet`]):
-///   every token and transaction hop is simulated, one plane per fabric
-///   plane with round-robin injection, and positive `link_occupancy`
+///   network ([`tss_net::DetailedNet`]): every token and transaction hop
+///   on every fabric plane is simulated on one calendar, with round-robin
+///   plane choice per source, and positive `link_occupancy`
 ///   creates the queueing/GT-stall feedback the paper's evaluation leaves
 ///   out. Much slower, measured by the `contention` bench binary.
 ///

@@ -34,7 +34,7 @@
 //!   friends) check raw-network order and the `fast + one tick` instant
 //!   offset per delivery;
 //! * `address_net_unloaded_instants_match_fast_model` drives this model
-//!   and [`MultiPlaneNet`](crate::MultiPlaneNet) through the
+//!   and [`DetailedNet`](crate::DetailedNet) through the
 //!   `tss::address_net::AddressNet` trait the full-system simulator uses
 //!   and asserts **byte-identical** ordering instants for unloaded
 //!   (`link_occupancy = 0`) detailed runs against this model at
@@ -141,7 +141,9 @@ pub struct Delivery<P> {
     pub dest: NodeId,
     /// Source node of the broadcast.
     pub src: NodeId,
-    /// Per-source injection sequence number (total-order tie-breaker).
+    /// Per-source injection sequence number: the source's `seq`-th
+    /// broadcast, counted from 0 across all planes (the total-order
+    /// tie-breaker). Both models hand out the same value.
     pub seq: u64,
     /// Ordering time, wraparound-safe.
     pub ot: Gt,
@@ -151,46 +153,54 @@ pub struct Delivery<P> {
     pub arrival: Time,
     /// When this copy became processable in the total order. The fast
     /// model gives every endpoint the same instant (`OT·τ`); the token
-    /// model gives the instant the endpoint's guarantee time passed `OT`
-    /// (a single [`DetailedNet`](crate::DetailedNet) plane) or the
-    /// min-GT gate opened ([`MultiPlaneNet`](crate::MultiPlaneNet)), which
-    /// can differ between endpoints under contention.
+    /// model ([`DetailedNet`](crate::DetailedNet)) gives the instant the
+    /// endpoint's min-GT gate opened — its guarantee time on every plane
+    /// had passed `OT` — which can differ between endpoints under
+    /// contention.
     pub ordered_at: Time,
     /// The broadcast payload.
     pub payload: Arc<P>,
 }
 
-/// One pending broadcast, stored **once** (not once per endpoint): every
-/// endpoint sees the same `(OT, source, sequence)` total order in the
-/// unloaded model, so the per-endpoint copies are derived at drain time
-/// instead of being cloned into N reorder queues at injection.
+/// A value ordered by its `(OT, source, sequence)` key alone, smallest
+/// first under [`Reverse`]: the entry of every endpoint priority queue —
+/// §2.2's augmented priority queue — in both address-network models. The
+/// packed [`GtKey`] keeps the order correct across an era rollover.
 #[derive(Debug)]
-struct Pending<P> {
-    /// `(OT, source, sequence)` packed into one wraparound-safe key; the
-    /// physical ordering instant is recomputed from `key.gt()`'s distance
-    /// to the origin instead of being stored.
-    key: GtKey,
-    /// Plane the broadcast tree was drawn from (round-robin per source).
-    plane: usize,
-    injected_at: Time,
-    payload: Arc<P>,
+pub(crate) struct Keyed<T> {
+    pub(crate) key: GtKey,
+    pub(crate) value: T,
 }
 
-impl<P> PartialEq for Pending<P> {
+impl<T> PartialEq for Keyed<T> {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
     }
 }
-impl<P> Eq for Pending<P> {}
-impl<P> PartialOrd for Pending<P> {
+impl<T> Eq for Keyed<T> {}
+impl<T> PartialOrd for Keyed<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<P> Ord for Pending<P> {
+impl<T> Ord for Keyed<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.key.cmp(&other.key)
     }
+}
+
+/// One pending broadcast, stored **once** (not once per endpoint) under
+/// its `(OT, source, sequence)` key: every endpoint sees the same total
+/// order in the unloaded model, so the per-endpoint copies are derived at
+/// drain time instead of being cloned into N reorder queues at injection.
+/// The physical ordering instant is recomputed from the key's distance to
+/// the origin instead of being stored.
+#[derive(Debug)]
+struct Pending<P> {
+    /// Plane the broadcast tree was drawn from (round-robin per source).
+    plane: usize,
+    injected_at: Time,
+    payload: Arc<P>,
 }
 
 /// The fast (unloaded, closed-form) timestamp-ordered broadcast network.
@@ -218,9 +228,9 @@ pub struct FastOrderedNet<P> {
     timing: OrderedNetTiming,
     /// One entry per broadcast; the N endpoint copies are materialised at
     /// drain time (see [`Pending`]).
-    pending: BinaryHeap<Reverse<Pending<P>>>,
+    pending: BinaryHeap<Reverse<Keyed<Pending<P>>>>,
     /// Reusable scratch for the broadcasts popped by one drain.
-    ready: Vec<Pending<P>>,
+    ready: Vec<Keyed<Pending<P>>>,
     seq: Vec<u64>,
     plane_rr: Vec<u32>,
     ledger: TrafficLedger,
@@ -302,11 +312,13 @@ impl<P> FastOrderedNet<P> {
         let seq = self.seq[src.index()];
         self.seq[src.index()] += 1;
 
-        self.pending.push(Reverse(Pending {
+        self.pending.push(Reverse(Keyed {
             key: GtKey::with_src_seq(ot, src.0, seq),
-            plane,
-            injected_at: now,
-            payload: Arc::new(payload),
+            value: Pending {
+                plane,
+                injected_at: now,
+                payload: Arc::new(payload),
+            },
         }));
 
         self.ledger.record_tree(tree, MsgClass::Request);
@@ -334,18 +346,17 @@ impl<P> FastOrderedNet<P> {
         let n = self.fabric.num_nodes();
         out.reserve(self.ready.len() * n);
         for dest in 0..n {
-            for i in 0..self.ready.len() {
-                let src = NodeId(self.ready[i].key.src());
-                let arrival = self.ready[i].injected_at
-                    + Duration::from_ns(self.arrival_ns(self.ready[i].plane, src, dest));
-                let ordered_at = self.ordered_at_of(self.ready[i].key.gt());
-                let p = &self.ready[i];
+            for &Keyed { key, value: ref p } in &self.ready {
+                let src = NodeId(key.src());
+                let arrival =
+                    p.injected_at + Duration::from_ns(self.arrival_ns(p.plane, src, dest));
+                let ordered_at = self.ordered_at_of(key.gt());
                 debug_assert!(arrival <= ordered_at);
                 out.push(Delivery {
                     dest: NodeId(dest as u16),
                     src,
-                    seq: p.key.seq(),
-                    ot: p.key.gt(),
+                    seq: key.seq(),
+                    ot: key.gt(),
                     arrival,
                     ordered_at,
                     payload: Arc::clone(&p.payload),

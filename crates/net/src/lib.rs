@@ -18,15 +18,15 @@
 //!   runs (the paper's own evaluation models no network contention);
 //! * [`DetailedNet`] / [`SwitchCore`] — the literal token-passing
 //!   implementation of §2.2, including Figure 1, slack bookkeeping and
-//!   optional link-bandwidth contention;
-//! * [`MultiPlaneNet`] — the paper's "four parallel butterflies, selected
-//!   round-robin" composition of [`DetailedNet`]s, merging per-plane
-//!   deliveries at the min-guarantee-time frontier (this is what
-//!   full-system `--net detailed` runs drive);
+//!   optional link-bandwidth contention. One net simulates every plane of
+//!   its fabric on one calendar — the paper's "four parallel butterflies,
+//!   selected round-robin" — and merges each node's copies at its
+//!   min-guarantee-time frontier (this is what full-system
+//!   `--net detailed` runs drive);
 //! * [`Delivery`] — one endpoint copy of a broadcast in the total order,
 //!   the single delivery type of both address-network models (the
 //!   `tss::address_net::AddressNet` trait is implemented directly on
-//!   [`FastOrderedNet`] and [`MultiPlaneNet`]);
+//!   [`FastOrderedNet`] and [`DetailedNet`]);
 //! * [`UnicastNet`] — the point-to-point virtual networks used for data and
 //!   directory traffic, with optional per-pair FIFO ordering (DirOpt);
 //! * [`TrafficLedger`] — per-link, per-class byte accounting (Figure 4).
@@ -61,7 +61,7 @@ mod unicast;
 
 pub use fast::{Delivery, FastOrderedNet, HopTiming, OrderedNetTiming};
 pub use ids::{LinkId, NodeId, Vertex};
-pub use token::{DetailedNet, DetailedNetConfig, DetailedNetStats, MultiPlaneNet, SwitchCore};
+pub use token::{DetailedNet, DetailedNetConfig, DetailedNetStats, SwitchCore};
 pub use topology::{BroadcastTree, Fabric, FabricKind, Link, TreeEdge};
 pub use traffic::{MsgClass, TrafficLedger, MSG_CLASSES};
 pub use unicast::{UnicastNet, VnetOrdering};

@@ -3,6 +3,11 @@
 //! transactions with an explicit slack field, and endpoints re-sort
 //! transactions into the logical total order with a priority queue.
 //!
+//! One [`DetailedNet`] simulates every plane of its fabric (the paper's
+//! four round-robin butterflies, or the torus's single plane) on one
+//! calendar, and releases each node's copies at the minimum of its
+//! per-plane guarantee times.
+//!
 //! Unlike the closed-form [`FastOrderedNet`](crate::FastOrderedNet), this
 //! model simulates every token and every transaction hop, models finite
 //! link bandwidth (optional), and exercises all three cases of the slack
@@ -17,10 +22,10 @@
 //! The Figure 1 walkthrough is reproduced step by step in
 //! [`SwitchCore`]'s tests and in the `token_passing` example.
 
+#[cfg(test)]
 mod multi_plane;
 mod net;
 mod switch_core;
 
-pub use multi_plane::MultiPlaneNet;
 pub use net::{DetailedNet, DetailedNetConfig, DetailedNetStats};
 pub use switch_core::SwitchCore;

@@ -1,12 +1,21 @@
 //! Event-driven simulation of the full token-passing address network.
 //!
-//! One event loop drives it: [`DetailedNet::run_until`] pops one calendar
-//! event at a time, and the §2.2 handlers mutate the net's state directly
-//! and schedule their follow-up events straight into the calendar. No
-//! handler ever schedules *at* the current instant — every emission lies
-//! at least one link latency or occupancy period ahead — and the calendar
-//! breaks same-instant ties FIFO, so a run is a pure function of its
-//! configuration and injection schedule.
+//! One net simulates every plane of its fabric — the paper's butterfly
+//! address network is four parallel butterflies selected round-robin
+//! (§4.2), each an independent token domain (§2.2) — on one calendar. A
+//! vertex `v` of plane `p` is `p × num_vertices + v` in every per-vertex
+//! table, so the planes share the calendar and the transaction slab but
+//! never each other's state.
+//!
+//! One event loop drives it: [`DetailedNet::run_until`] pops every
+//! calendar event of an instant, and the §2.2 handlers mutate the net's
+//! state directly and schedule their follow-up events straight into the
+//! calendar. No handler ever schedules *at* the current instant — every
+//! emission lies at least one link latency or occupancy period ahead — and
+//! the calendar breaks same-instant ties FIFO, so a run is a pure function
+//! of its configuration and injection schedule. Once the instant's events
+//! are done, every node releases the copies below its min-GT frontier
+//! (see [`DetailedNet`]).
 //!
 //! Two choices keep the event loop cheap without moving any event in the
 //! simulated order:
@@ -28,7 +37,7 @@ use std::sync::Arc;
 use tss_sim::stats::LatencyStat;
 use tss_sim::{Duration, EventQueue, Gt, GtKey, Time};
 
-use crate::fast::Delivery;
+use crate::fast::{Delivery, Keyed};
 use crate::ids::{LinkId, NodeId, Vertex};
 use crate::topology::Fabric;
 use crate::traffic::{MsgClass, TrafficLedger};
@@ -72,7 +81,7 @@ impl Default for DetailedNetConfig {
     }
 }
 
-/// Aggregate statistics of a detailed-network run.
+/// Aggregate statistics of one plane of a detailed-network run.
 #[derive(Debug, Clone, Default)]
 pub struct DetailedNetStats {
     /// Minimum endpoint guarantee time (origin plus token rounds).
@@ -92,9 +101,10 @@ pub struct DetailedNetStats {
 
 #[derive(Debug)]
 struct FlightTxn<P> {
-    src: NodeId,
-    seq: u64,
-    ot: Gt,
+    /// `(OT, src, seq)`: the copy's place in the total order.
+    key: GtKey,
+    /// The plane whose broadcast tree carries the copy.
+    plane: u32,
     slack: u64,
     payload: Arc<P>,
 }
@@ -103,9 +113,8 @@ struct FlightTxn<P> {
 impl<P> Clone for FlightTxn<P> {
     fn clone(&self) -> Self {
         FlightTxn {
-            src: self.src,
-            seq: self.seq,
-            ot: self.ot,
+            key: self.key,
+            plane: self.plane,
             slack: self.slack,
             payload: Arc::clone(&self.payload),
         }
@@ -160,12 +169,13 @@ impl<T> Slab<T> {
 
 /// One calendar event. Tokens outnumber transactions by orders of
 /// magnitude, so an event carries no payload: a token event names the
-/// firing vertex, and a transaction hop names its copy's [`Slab`] slot.
+/// firing vertex (as its all-plane index), and a transaction hop names its
+/// copy's [`Slab`] slot.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// `from` fired `count` times one link latency ago: `count` rounds of
     /// tokens arrive over its out-links, in port order.
-    Tokens { from: Vertex, count: u32 },
+    Tokens { from: u32, count: u32 },
     /// The transaction copy in slab slot `slot` arrives over `link`.
     Txn { link: LinkId, slot: u32 },
     /// `link` may be free for the next buffered copy.
@@ -179,57 +189,31 @@ const _: () = assert!(
     "token-net calendar event grew past 12 bytes"
 );
 
-#[derive(Debug)]
-struct ReorderEntry<P> {
-    /// `(OT, src, seq)` packed into one wraparound-safe 16-byte key — the
-    /// same lexicographic order the old `(u64, u16, u64)` tuple gave, but
-    /// correct across an era rollover.
-    key: GtKey,
-    arrival: Time,
-    payload: Arc<P>,
-}
+/// An endpoint queue of transaction copies, each `(arrival, payload)`
+/// under its `(OT, src, seq)` key, smallest key first.
+type CopyQueue<P> = BinaryHeap<Reverse<Keyed<(Time, Arc<P>)>>>;
 
-impl<P> PartialEq for ReorderEntry<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<P> Eq for ReorderEntry<P> {}
-impl<P> PartialOrd for ReorderEntry<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<P> Ord for ReorderEntry<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-#[derive(Debug)]
-struct EndpointExtra<P> {
-    reorder: BinaryHeap<Reverse<ReorderEntry<P>>>,
-    next_seq: u64,
-}
-
-impl<P> Default for EndpointExtra<P> {
-    fn default() -> Self {
-        EndpointExtra {
-            reorder: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-}
-
-/// The detailed (switch-by-switch, token-by-token) timestamp network.
+/// The detailed (switch-by-switch, token-by-token) timestamp network,
+/// over every plane of its fabric.
 ///
 /// Every rule of §2.2 executes literally: rule-1 slack bumps at switch
 /// entry, rule-2 decrements on token propagation (with zero-slack
 /// transactions blocking tokens), rule-3 `ΔD` adjustments per branch, and
 /// endpoint priority-queue reordering. An internal assertion checks the
 /// paper's central invariant on every delivery: a transaction is processed
-/// exactly when the endpoint's guarantee time equals the transaction's
-/// ordering time.
+/// exactly when the endpoint's guarantee time on its plane equals the
+/// transaction's ordering time.
+///
+/// Each source broadcasts on the planes round-robin, starting at plane 0
+/// (§4.2). A node's effective guarantee time is the *minimum* over its
+/// per-plane GTs, because a transaction with OT ≤ GT could still be in
+/// flight on any plane whose GT has not yet passed it: a copy processed on
+/// its plane waits in the node's merge queue until then, and is released
+/// to [`DetailedNet::drain_into`] stamped with that instant. Ordering
+/// times stay globally comparable because every plane starts with the
+/// same initial marking and (unloaded) ticks in lock step; under skew
+/// (contention on one plane) the min-GT gate is what keeps the total order
+/// safe.
 ///
 /// # Example
 ///
@@ -238,167 +222,178 @@ impl<P> Default for EndpointExtra<P> {
 /// use tss_net::{DetailedNet, DetailedNetConfig, Fabric, NodeId};
 /// use tss_sim::Time;
 ///
-/// let fabric = Arc::new(Fabric::torus4x4());
+/// let fabric = Arc::new(Fabric::butterfly16()); // 4 planes
 /// let mut net = DetailedNet::new(fabric, DetailedNetConfig::default());
-/// net.inject(Time::from_ns(40), NodeId(2), "GETM B");
-/// net.run_until(Time::from_ns(400));
-/// let deliveries = net.take_deliveries();
-/// assert_eq!(deliveries.len(), 16); // snooped everywhere, in logical order
+/// for i in 0..8u32 {
+///     net.inject(Time::from_ns(10 + i as u64), NodeId(0), i);
+/// }
+/// let mut deliveries = Vec::new();
+/// net.drain_into(Time::from_ns(2_000), &mut deliveries);
+/// // 8 broadcasts, spread over all 4 planes, merged back into one order
+/// // and snooped everywhere.
+/// assert_eq!(deliveries.len(), 8 * 16);
 /// ```
 #[derive(Debug)]
 pub struct DetailedNet<P> {
     fabric: Arc<Fabric>,
     cfg: DetailedNetConfig,
-    /// The fabric plane this net simulates; each plane is an independent
-    /// token domain.
-    plane: usize,
-    /// Per-vertex token core; a switch buffer entry is a [`Slab`] slot.
+    /// Vertices per plane: vertex `v` of plane `p` is `p × nv + v` in every
+    /// per-vertex table.
+    nv: usize,
+    num_nodes: usize,
+    /// Per-vertex token core, all planes; `None` for a switch of another
+    /// plane. A switch buffer entry is a [`Slab`] slot.
     cores: Vec<Option<SwitchCore<u32>>>,
-    endpoints: Vec<EndpointExtra<P>>,
+    /// Per-plane endpoint reorder queues, indexed `plane × num_nodes +
+    /// node`: a copy waits here until its plane's GT passes its OT.
+    reorder: Vec<CopyQueue<P>>,
+    /// Per-node merge queues: a copy processed on its plane waits here
+    /// until the node's GT on every plane has passed its OT.
+    merge: Vec<CopyQueue<P>>,
+    /// Copies parked in reorder queues (skip the per-wave reorder peeks
+    /// when zero).
+    reorder_parked: usize,
+    /// Copies waiting in merge queues (skip the per-instant release scan
+    /// when zero).
+    merge_pending: usize,
+    /// Copies past the min-GT gate, each stamped with the instant the gate
+    /// opened, awaiting [`DetailedNet::drain_into`].
+    released: Vec<Delivery<P>>,
+    /// Per-source injection count: the next broadcast's sequence number,
+    /// which also picks its plane round-robin.
+    next_seq: Vec<u64>,
     events: EventQueue<Ev>,
     /// Every transaction copy in flight on a link or buffered in a switch.
     flights: Slab<FlightTxn<P>>,
     now: Time,
     next_free: Vec<Time>,
     free_scheduled: Vec<bool>,
-    /// Per-link index of the link among its source vertex's out-ports.
-    out_port_idx: Vec<u32>,
+    /// Per-link `(source vertex, source out-port)` — what a send or a
+    /// link-free check needs.
+    link_src: Vec<(u32, u32)>,
     /// Per-link `(destination vertex, destination in-port)` — the two
     /// facts every delivery needs, packed into one lookup.
     link_dest: Vec<(u32, u32)>,
-    /// `link_dest` of every vertex's out-links on this plane, in port
-    /// order: vertex `v`'s run is `out_dest[out_start[v]..out_start[v + 1]]`.
+    /// `link_dest` of every vertex's out-links, in port order: vertex `v`'s
+    /// run is `out_dest[out_start[v]..out_start[v + 1]]`.
     out_start: Vec<u32>,
     out_dest: Vec<(u32, u32)>,
-    num_nodes: usize,
-    /// Transaction copies parked in endpoint reorder queues (skip the
-    /// per-wave per-node reorder peeks when zero).
-    reorder_parked: usize,
-    deliveries: Vec<Delivery<P>>,
     ledger: TrafficLedger,
-    ordering_delay: LatencyStat,
-    injected: u64,
-    processed: u64,
-    /// Endpoint-copies injected but not yet processed, maintained per step
-    /// (`+= num_nodes` at injection, `-= 1` per processed copy). Replaces
-    /// the old `injected * num_nodes - processed` derivation, whose
-    /// multiply overflows u64 long before the counters themselves do.
+    /// Per-plane running counters (`ordering_delay`, `injected`,
+    /// `processed`); [`DetailedNet::stats`] fills in the rest.
+    plane_stats: Vec<DetailedNetStats>,
+    /// Endpoint-copies injected but not yet released, maintained per step
+    /// (`+= num_nodes` at injection, `-= 1` per release), so it stays
+    /// exact however large the lifetime counters grow.
     copies_outstanding: u64,
 }
 
 impl<P> DetailedNet<P> {
-    /// Builds the network over plane 0 of `fabric` and performs the
+    /// Builds the network over every plane of `fabric` and performs the
     /// initial token kick: every input port starts with one token (§2.2),
     /// so every switch and endpoint fires once at time zero and the token
     /// wave self-times from there.
     pub fn new(fabric: Arc<Fabric>, cfg: DetailedNetConfig) -> Self {
-        Self::for_plane(fabric, cfg, 0)
-    }
-
-    /// [`DetailedNet::new`] over fabric plane `plane`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plane` is out of range for `fabric`.
-    pub(crate) fn for_plane(fabric: Arc<Fabric>, cfg: DetailedNetConfig, plane: usize) -> Self {
-        assert!(plane < fabric.planes(), "plane out of range");
         assert!(
             cfg.link_latency.as_ns() > 0,
             "link latency must be positive"
         );
-        let nv = fabric.num_nodes() + fabric.num_switches();
-        let mut vertex_in_links: Vec<Vec<LinkId>> = vec![Vec::new(); nv];
-        let mut vertex_out_links: Vec<Vec<LinkId>> = vec![Vec::new(); nv];
-        let mut in_port_idx = vec![u32::MAX; fabric.links().len()];
-        let mut out_port_idx = vec![u32::MAX; fabric.links().len()];
+        let (planes, num_nodes) = (fabric.planes(), fabric.num_nodes());
+        let nv = num_nodes + fabric.num_switches();
+        // Ports are numbered in link order, per vertex of each plane.
+        let mut in_ports = vec![0u32; planes * nv];
+        let mut out_links: Vec<Vec<usize>> = vec![Vec::new(); planes * nv];
+        let mut link_src = Vec::with_capacity(fabric.links().len());
+        let mut link_dest = Vec::with_capacity(fabric.links().len());
         for (i, l) in fabric.links().iter().enumerate() {
-            if l.plane != plane as u32 {
-                continue;
-            }
-            out_port_idx[i] = vertex_out_links[l.from.index()].len() as u32;
-            vertex_out_links[l.from.index()].push(LinkId(i as u32));
-            in_port_idx[i] = vertex_in_links[l.to.index()].len() as u32;
-            vertex_in_links[l.to.index()].push(LinkId(i as u32));
+            let base = l.plane as usize * nv;
+            let (from, to) = (base + l.from.index(), base + l.to.index());
+            link_src.push((from as u32, out_links[from].len() as u32));
+            out_links[from].push(i);
+            link_dest.push((to as u32, in_ports[to]));
+            in_ports[to] += 1;
         }
 
-        let mut cores = Vec::with_capacity(nv);
-        for v in 0..nv {
-            let (ins, outs) = (vertex_in_links[v].len(), vertex_out_links[v].len());
-            if ins == 0 && outs == 0 {
-                cores.push(None); // switch belonging to another plane
-            } else {
+        let cores = (0..planes * nv)
+            .map(|v| {
+                let (ins, outs) = (in_ports[v] as usize, out_links[v].len());
+                if ins == 0 && outs == 0 {
+                    return None; // switch belonging to another plane
+                }
                 assert!(ins > 0 && outs > 0, "vertex {v} has one-sided connectivity");
                 let mut core = SwitchCore::starting_at(ins, outs, cfg.gt_origin);
                 for p in 0..ins {
                     core.token_arrives(p); // initial marking
                 }
-                cores.push(Some(core));
-            }
-        }
-
-        let link_dest: Vec<(u32, u32)> = fabric
-            .links()
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.to.0, in_port_idx[i]))
+                Some(core)
+            })
             .collect();
-        let mut out_start = Vec::with_capacity(nv + 1);
+
+        let mut out_start = Vec::with_capacity(planes * nv + 1);
         let mut out_dest = Vec::new();
-        for links in &vertex_out_links {
+        for links in &out_links {
             out_start.push(out_dest.len() as u32);
-            out_dest.extend(links.iter().map(|l| link_dest[l.index()]));
+            out_dest.extend(links.iter().map(|&l| link_dest[l]));
         }
         out_start.push(out_dest.len() as u32);
-        let ledger = TrafficLedger::new(&fabric);
         let mut net = DetailedNet {
-            endpoints: (0..fabric.num_nodes())
-                .map(|_| EndpointExtra::default())
-                .collect(),
+            nv,
+            num_nodes,
             cores,
+            reorder: (0..planes * num_nodes).map(|_| BinaryHeap::new()).collect(),
+            merge: (0..num_nodes).map(|_| BinaryHeap::new()).collect(),
+            reorder_parked: 0,
+            merge_pending: 0,
+            released: Vec::new(),
+            next_seq: vec![0; num_nodes],
             events: EventQueue::new(),
             flights: Slab::new(),
             now: Time::ZERO,
             next_free: vec![Time::ZERO; fabric.links().len()],
             free_scheduled: vec![false; fabric.links().len()],
-            out_port_idx,
+            link_src,
             link_dest,
             out_start,
             out_dest,
-            num_nodes: fabric.num_nodes(),
-            reorder_parked: 0,
-            deliveries: Vec::new(),
-            ledger,
-            ordering_delay: LatencyStat::new(),
-            injected: 0,
-            processed: 0,
+            ledger: TrafficLedger::new(&fabric),
+            plane_stats: vec![
+                DetailedNetStats {
+                    ordering_delay: LatencyStat::new(),
+                    ..DetailedNetStats::default()
+                };
+                planes
+            ],
             copies_outstanding: 0,
             fabric,
             cfg,
-            plane,
         };
         // Initial kick: everything can fire once at t = 0.
-        for v in 0..nv {
-            net.cascade(Vertex(v as u32));
+        for v in 0..planes * nv {
+            net.cascade(v as u32);
         }
         net
     }
 
-    /// Takes all endpoint deliveries processed so far (in processing
-    /// order, globally timestamped).
-    pub fn take_deliveries(&mut self) -> Vec<Delivery<P>> {
-        std::mem::take(&mut self.deliveries)
+    /// Advances the network to `now` ([`DetailedNet::run_until`]) and
+    /// appends every copy released so far to `out`, in the total order
+    /// within each endpoint. Each copy's [`Delivery::ordered_at`] is the
+    /// instant its min-GT gate opened — the moment a coherence controller
+    /// may process it, even if the caller drains later than that.
+    pub fn drain_into(&mut self, now: Time, out: &mut Vec<Delivery<P>>) {
+        self.run_until(now);
+        out.append(&mut self.released);
     }
 
-    /// Drains the deliveries processed so far, in processing order, while
-    /// keeping the buffer's capacity for the next instant.
-    pub(crate) fn drain_deliveries(&mut self) -> std::vec::Drain<'_, Delivery<P>> {
-        self.deliveries.drain(..)
-    }
-
-    /// The current guarantee time of endpoint `node` (origin plus tokens
-    /// processed).
+    /// The guarantee time `node` may trust: the minimum over its per-plane
+    /// guarantee times (each the origin plus the tokens it processed).
+    /// `Gt`'s wrapping order keeps the minimum meaningful across an era
+    /// rollover (per-plane skew is bounded, far inside the ±2^63
+    /// comparison window).
     pub fn endpoint_gt(&self, node: NodeId) -> Gt {
-        self.core_ref(Vertex::node(node)).gt()
+        (0..self.fabric.planes())
+            .map(|p| self.core_ref(p * self.nv + node.index()).gt())
+            .min()
+            .expect("at least one plane")
     }
 
     /// Timestamp of the network's next internal event (token or
@@ -417,86 +412,91 @@ impl<P> DetailedNet<P> {
         self.events.events_processed()
     }
 
-    /// Endpoint-copies injected but not yet handed out through
-    /// [`DetailedNet::take_deliveries`]'s backing store: copies still in
-    /// flight, buffered in switches, or parked in endpoint reorder queues.
-    /// Maintained incrementally so it stays exact however large the
-    /// lifetime `injected` count grows.
+    /// Endpoint-copies injected but not yet released to
+    /// [`DetailedNet::drain_into`]: in flight, buffered in a switch,
+    /// parked in a plane's reorder queue, or held back by the min-GT gate.
     pub fn outstanding(&self) -> u64 {
         self.copies_outstanding
     }
 
-    /// Address traffic recorded so far (Request class).
+    /// Address traffic recorded so far (Request class, all planes).
     pub fn ledger(&self) -> &TrafficLedger {
         &self.ledger
     }
 
-    /// Aggregate run statistics.
-    pub fn stats(&self) -> DetailedNetStats {
-        let gts: Vec<Gt> = (0..self.fabric.num_nodes())
-            .map(|n| self.endpoint_gt(NodeId(n as u16)))
-            .collect();
-        let high_water = self
-            .cores
+    /// Aggregate run statistics, one entry per plane.
+    pub fn stats(&self) -> Vec<DetailedNetStats> {
+        self.plane_stats
             .iter()
-            .flatten()
-            .map(SwitchCore::buffer_high_water)
-            .max()
-            .unwrap_or(0);
-        DetailedNetStats {
-            min_endpoint_gt: gts.iter().copied().min().unwrap_or(Gt::ZERO),
-            max_endpoint_gt: gts.iter().copied().max().unwrap_or(Gt::ZERO),
-            switch_buffer_high_water: high_water,
-            ordering_delay: self.ordering_delay,
-            injected: self.injected,
-            processed: self.processed,
-        }
+            .enumerate()
+            .map(|(p, counters)| {
+                let gts = || (0..self.num_nodes).map(|n| self.core_ref(p * self.nv + n).gt());
+                DetailedNetStats {
+                    min_endpoint_gt: gts().min().unwrap_or(Gt::ZERO),
+                    max_endpoint_gt: gts().max().unwrap_or(Gt::ZERO),
+                    switch_buffer_high_water: self.cores[p * self.nv..(p + 1) * self.nv]
+                        .iter()
+                        .flatten()
+                        .map(SwitchCore::buffer_high_water)
+                        .max()
+                        .unwrap_or(0),
+                    ..counters.clone()
+                }
+            })
+            .collect()
     }
 
-    /// Broadcasts `payload` from `src` at time `now`, returning the
-    /// assigned ordering time.
+    /// Broadcasts `payload` from `src` at time `now` on the source's next
+    /// plane in round-robin order, returning the assigned ordering time.
     ///
     /// Internally advances the simulation to `now` first, so injections
     /// must be presented in non-decreasing time order.
     pub fn inject(&mut self, now: Time, src: NodeId, payload: P) -> Gt {
         self.run_until(now);
-        self.now = now;
-        let max_depth = self.fabric.tree(self.plane, src).max_depth_links as u64;
-        let gt = self.core_ref(Vertex::node(src)).gt();
+        let seq = self.next_seq[src.index()];
+        self.next_seq[src.index()] += 1;
+        let plane = (seq % self.fabric.planes() as u64) as usize;
+        let tree = self.fabric.tree(plane, src);
+        let max_depth = tree.max_depth_links as u64;
+        self.ledger.record_tree(tree, MsgClass::Request);
+        let root = plane * self.nv + src.index();
+        let gt = self.core_ref(root).gt();
         let ot = gt.wrapping_add(max_depth + self.cfg.initial_slack);
-        let seq = self.endpoints[src.index()].next_seq;
-        self.endpoints[src.index()].next_seq += 1;
 
         // The source snoops its own transaction through the network like
         // everyone else: the broadcast tree re-delivers to the root.
         let slot = self.flights.insert(FlightTxn {
-            src,
-            seq,
-            ot,
+            key: GtKey::with_src_seq(ot, src.0, seq),
+            plane: plane as u32,
             slack: self.cfg.initial_slack,
             payload: Arc::new(payload),
         });
-        self.forward_branches(Vertex::node(src), slot);
-        self.ledger
-            .record_tree(self.fabric.tree(self.plane, src), MsgClass::Request);
-        self.injected += 1;
-        self.copies_outstanding += self.fabric.num_nodes() as u64;
+        self.forward_branches(root as u32, slot);
+        self.plane_stats[plane].injected += 1;
+        self.copies_outstanding += self.num_nodes as u64;
         ot
     }
 
     /// Advances the simulation through every event at or before `t`, one
-    /// calendar event at a time.
+    /// instant at a time: it pops every calendar event of the instant, then
+    /// releases every merged copy below its node's min-GT frontier, stamped
+    /// with that instant.
     pub fn run_until(&mut self, t: Time) {
-        while self.events.peek_time().is_some_and(|at| at <= t) {
-            let (at, ev) = self.events.pop().expect("peeked");
+        while let Some(at) = self.events.peek_time().filter(|&at| at <= t) {
             self.now = at;
-            match ev {
-                Ev::Tokens { from, count } => self.tokens_arrive(from, count),
-                Ev::Txn { link, slot } => self.txn_arrives(link, slot),
-                Ev::LinkFree { link } => {
-                    self.free_scheduled[link.index()] = false;
-                    self.link_freed(link);
+            while self.events.peek_time() == Some(at) {
+                let (_, ev) = self.events.pop().expect("peeked");
+                match ev {
+                    Ev::Tokens { from, count } => self.tokens_arrive(from, count),
+                    Ev::Txn { link, slot } => self.txn_arrives(link, slot),
+                    Ev::LinkFree { link } => {
+                        self.free_scheduled[link.index()] = false;
+                        self.link_freed(link);
+                    }
                 }
+            }
+            if self.merge_pending > 0 {
+                self.release_frontier(at);
             }
         }
         if t > self.now {
@@ -504,16 +504,47 @@ impl<P> DetailedNet<P> {
         }
     }
 
-    fn core(&mut self, v: Vertex) -> &mut SwitchCore<u32> {
-        self.cores[v.index()]
-            .as_mut()
-            .expect("vertex participates in this plane")
+    /// Releases every merged copy below its node's min-GT frontier, stamped
+    /// `at`, in (node, key) order.
+    fn release_frontier(&mut self, at: Time) {
+        for node in 0..self.num_nodes {
+            if self.merge[node].is_empty() {
+                continue;
+            }
+            let gt_min = self.endpoint_gt(NodeId(node as u16));
+            while let Some(Reverse(top)) = self.merge[node].peek() {
+                if top.key.gt() >= gt_min {
+                    break;
+                }
+                let Reverse(Keyed {
+                    key,
+                    value: (arrival, payload),
+                }) = self.merge[node].pop().expect("peeked");
+                self.released.push(Delivery {
+                    dest: NodeId(node as u16),
+                    src: NodeId(key.src()),
+                    seq: key.seq(),
+                    ot: key.gt(),
+                    arrival,
+                    ordered_at: at,
+                    payload,
+                });
+                self.copies_outstanding -= 1;
+                self.merge_pending -= 1;
+            }
+        }
     }
 
-    fn core_ref(&self, v: Vertex) -> &SwitchCore<u32> {
-        self.cores[v.index()]
+    fn core(&mut self, v: usize) -> &mut SwitchCore<u32> {
+        self.cores[v]
+            .as_mut()
+            .expect("vertex participates in its plane")
+    }
+
+    fn core_ref(&self, v: usize) -> &SwitchCore<u32> {
+        self.cores[v]
             .as_ref()
-            .expect("vertex participates in this plane")
+            .expect("vertex participates in its plane")
     }
 
     /// Schedules a follow-up event; never at the open instant (see the
@@ -527,15 +558,16 @@ impl<P> DetailedNet<P> {
     /// order. One core lookup per token serves both the arrival and the
     /// propagation-readiness test, and the cascade is entered only when
     /// the token completed a wave at its destination.
-    fn tokens_arrive(&mut self, from: Vertex, count: u32) {
-        let outs = self.out_start[from.index()] as usize..self.out_start[from.index() + 1] as usize;
+    fn tokens_arrive(&mut self, from: u32, count: u32) {
+        let from = from as usize;
+        let outs = self.out_start[from] as usize..self.out_start[from + 1] as usize;
         for _ in 0..count {
             for i in outs.clone() {
                 let (to, port) = self.out_dest[i];
-                let core = self.core(Vertex(to));
+                let core = self.core(to as usize);
                 core.token_arrives(port as usize);
                 if core.can_propagate() {
-                    self.cascade(Vertex(to));
+                    self.cascade(to);
                 }
             }
         }
@@ -543,40 +575,41 @@ impl<P> DetailedNet<P> {
 
     fn txn_arrives(&mut self, link: LinkId, slot: u32) {
         let (to, port) = self.link_dest[link.index()];
-        let to = Vertex(to);
         let slack = self.flights.get(slot).slack;
-        self.flights.get_mut(slot).slack = self.core(to).txn_enters(port as usize, slack); // rule 1
-        match to.as_node(self.num_nodes) {
-            Some(node) => {
-                let ft = self.flights.remove(slot);
-                self.endpoint_receives(node, ft);
-            }
-            None => self.forward_branches(to, slot),
+        self.flights.get_mut(slot).slack = self.core(to as usize).txn_enters(port as usize, slack); // rule 1
+        let plane = self.flights.get(slot).plane as usize;
+        let local = to as usize - plane * self.nv;
+        if local < self.num_nodes {
+            let ft = self.flights.remove(slot);
+            self.endpoint_receives(plane, local, ft);
+        } else {
+            self.forward_branches(to, slot);
         }
     }
 
-    fn endpoint_receives(&mut self, node: NodeId, ft: FlightTxn<P>) {
-        let gt = self.core_ref(Vertex::node(node)).gt();
+    fn endpoint_receives(&mut self, plane: usize, node: usize, ft: FlightTxn<P>) {
+        let gt = self.core_ref(plane * self.nv + node).gt();
         let deadline = gt.wrapping_add(ft.slack);
         // The paper's central invariant: slack bookkeeping has preserved
         // the ordering time end to end.
         assert_eq!(
-            deadline, ft.ot,
-            "slack bookkeeping lost the ordering time at {node} \
+            deadline,
+            ft.key.gt(),
+            "slack bookkeeping lost the ordering time at {} \
              (gt {gt} + slack {} != OT {})",
-            ft.slack, ft.ot
+            NodeId(node as u16),
+            ft.slack,
+            ft.key.gt()
         );
-        self.endpoints[node.index()]
-            .reorder
-            .push(Reverse(ReorderEntry {
-                key: GtKey::with_src_seq(ft.ot, ft.src.0, ft.seq),
-                arrival: self.now,
-                payload: ft.payload,
-            }));
+        self.reorder[plane * self.num_nodes + node].push(Reverse(Keyed {
+            key: ft.key,
+            value: (self.now, ft.payload),
+        }));
         self.reorder_parked += 1;
     }
 
-    /// Processes every queued transaction whose ordering tick has *closed*.
+    /// Processes every copy in `node`'s reorder queue on `plane` whose
+    /// ordering tick has *closed*, moving it to the node's merge queue.
     ///
     /// An endpoint processes the batch of `OT == X` transactions when the
     /// token advancing its GT past `X` arrives: that token's arrival proves
@@ -585,69 +618,59 @@ impl<P> DetailedNet<P> {
     /// complete and can be sorted by source id. Processing "just in time"
     /// arrivals immediately would break the same-OT source-order tie-break
     /// under contention.
-    fn drain_reorder(&mut self, node: NodeId) {
-        let gt = self.core_ref(Vertex::node(node)).gt();
-        loop {
-            let ready = matches!(
-                self.endpoints[node.index()].reorder.peek(),
-                Some(Reverse(top)) if top.key.gt() < gt
-            );
-            if !ready {
-                break;
-            }
-            let Reverse(e) = self.endpoints[node.index()]
-                .reorder
-                .pop()
-                .expect("peeked entry exists");
+    fn drain_reorder(&mut self, plane: usize, node: usize) {
+        let gt = self.core_ref(plane * self.nv + node).gt();
+        let queue = &mut self.reorder[plane * self.num_nodes + node];
+        while queue.peek().is_some_and(|Reverse(top)| top.key.gt() < gt) {
+            let Reverse(e) = queue.pop().expect("peeked entry exists");
             assert_eq!(
                 e.key.gt().next(),
                 gt,
-                "transaction missed its batch at {node}: OT {} but GT already {gt}",
+                "transaction missed its batch at {}: OT {} but GT already {gt}",
+                NodeId(node as u16),
                 e.key.gt()
             );
-            self.ordering_delay
-                .record(self.now.saturating_since(e.arrival));
-            self.processed += 1;
-            self.copies_outstanding -= 1;
+            let counters = &mut self.plane_stats[plane];
+            counters
+                .ordering_delay
+                .record(self.now.saturating_since(e.value.0));
+            counters.processed += 1;
             self.reorder_parked -= 1;
-            self.deliveries.push(Delivery {
-                dest: node,
-                src: NodeId(e.key.src()),
-                seq: e.key.seq(),
-                ot: e.key.gt(),
-                arrival: e.arrival,
-                ordered_at: self.now,
-                payload: e.payload,
-            });
+            self.merge[node].push(Reverse(e));
+            self.merge_pending += 1;
         }
     }
 
     /// Forwards the copy in `slot` along its broadcast-tree branches
-    /// leaving `v`, sending immediately where the link is free and
+    /// leaving vertex `v`, sending immediately where the link is free and
     /// buffering otherwise. Every branch but the last takes a fresh copy;
     /// the last one reuses `slot`.
-    fn forward_branches(&mut self, v: Vertex, slot: u32) {
+    fn forward_branches(&mut self, v: u32, slot: u32) {
         // A second handle on the fabric lets the tree be walked while the
         // sends mutate `self` — no per-hop branch buffer needed.
         let fabric = Arc::clone(&self.fabric);
-        let tree = fabric.tree(self.plane, self.flights.get(slot).src);
-        let Some((&last, rest)) = tree.branches_from(v).split_last() else {
+        let ft = self.flights.get(slot);
+        let plane = ft.plane as usize;
+        let tree = fabric.tree(plane, NodeId(ft.key.src()));
+        let local = Vertex(v - (plane * self.nv) as u32);
+        let Some((&last, rest)) = tree.branches_from(local).split_last() else {
             self.flights.remove(slot);
             return;
         };
         for &i in rest {
             let e = tree.edges[i as usize];
             let copy = self.flights.insert(self.flights.get(slot).clone());
-            self.send_or_buffer(v, e.link, e.delta_d as u64, copy);
+            self.send_or_buffer(e.link, e.delta_d as u64, copy);
         }
         let e = tree.edges[last as usize];
-        self.send_or_buffer(v, e.link, e.delta_d as u64, slot);
+        self.send_or_buffer(e.link, e.delta_d as u64, slot);
     }
 
     /// Sends the copy in `slot` over `link` if it is free, else buffers it
-    /// in `v` — the only place a switch buffer grows, so the provisioning
-    /// check ([`DetailedNetConfig::buffer_depth`]) lives here.
-    fn send_or_buffer(&mut self, v: Vertex, link: LinkId, delta_d: u64, slot: u32) {
+    /// in the link's source vertex — the only place a switch buffer grows,
+    /// so the provisioning check ([`DetailedNetConfig::buffer_depth`])
+    /// lives here.
+    fn send_or_buffer(&mut self, link: LinkId, delta_d: u64, slot: u32) {
         let li = link.index();
         if self.next_free[li] <= self.now {
             self.flights.get_mut(slot).slack += delta_d; // rule 3
@@ -655,11 +678,11 @@ impl<P> DetailedNet<P> {
             self.next_free[li] = self.now + self.cfg.link_occupancy;
             self.schedule(at, Ev::Txn { link, slot });
         } else {
-            let out_port = self.out_port_idx[li] as usize;
+            let (from, out_port) = self.link_src[li];
             let slack = self.flights.get(slot).slack;
             let depth = self.cfg.buffer_depth;
-            let core = self.core(v);
-            core.buffer(out_port, slack, delta_d, slot);
+            let core = self.core(from as usize);
+            core.buffer(out_port as usize, slack, delta_d, slot);
             let high = core.buffer_high_water();
             assert!(
                 high <= depth as usize,
@@ -687,14 +710,14 @@ impl<P> DetailedNet<P> {
             self.arm_link_free(link);
             return;
         }
-        let from = self.fabric.links()[li].from;
-        let out_port = self.out_port_idx[li] as usize;
-        if let Some((slack, slot)) = self.core(from).pop_sendable(out_port) {
+        let (from, out_port) = self.link_src[li];
+        let out_port = out_port as usize;
+        if let Some((slack, slot)) = self.core(from as usize).pop_sendable(out_port) {
             self.flights.get_mut(slot).slack = slack;
             let at = self.now + self.cfg.link_latency;
             self.next_free[li] = self.now + self.cfg.link_occupancy;
             self.schedule(at, Ev::Txn { link, slot });
-            if self.core_ref(from).queued(out_port) > 0 {
+            if self.core_ref(from as usize).queued(out_port) > 0 {
                 self.arm_link_free(link);
             }
             // Draining a zero-slack transaction may unblock the token wave.
@@ -702,11 +725,11 @@ impl<P> DetailedNet<P> {
         }
     }
 
-    /// Fires the propagation handshake at `v` as many times as it can,
-    /// scheduling one [`Ev::Tokens`] for all the rounds it fired, and
+    /// Fires the propagation handshake at vertex `v` as many times as it
+    /// can, scheduling one [`Ev::Tokens`] for all the rounds it fired, and
     /// advancing the endpoint reorder queue when `v` is a node.
-    fn cascade(&mut self, v: Vertex) {
-        let Some(core) = self.cores[v.index()].as_mut() else {
+    fn cascade(&mut self, v: u32) {
+        let Some(core) = self.cores[v as usize].as_mut() else {
             return;
         };
         let mut count = 0;
@@ -721,8 +744,9 @@ impl<P> DetailedNet<P> {
             Ev::Tokens { from: v, count },
         );
         if self.reorder_parked > 0 {
-            if let Some(node) = v.as_node(self.num_nodes) {
-                self.drain_reorder(node);
+            let (plane, local) = (v as usize / self.nv, v as usize % self.nv);
+            if local < self.num_nodes {
+                self.drain_reorder(plane, local);
             }
         }
     }
@@ -731,6 +755,12 @@ impl<P> DetailedNet<P> {
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
+
+    pub(in crate::token) fn drain(net: &mut DetailedNet<u32>, now: Time) -> Vec<Delivery<u32>> {
+        let mut out = Vec::new();
+        net.drain_into(now, &mut out);
+        out
+    }
 
     fn unloaded(fabric: Fabric, slack: u64) -> DetailedNet<u32> {
         DetailedNet::new(
@@ -746,8 +776,7 @@ pub(super) mod tests {
     fn single_broadcast_reaches_everyone_in_order() {
         let mut net = unloaded(Fabric::torus4x4(), 2);
         net.inject(Time::from_ns(40), NodeId(0), 7);
-        net.run_until(Time::from_ns(500));
-        let d = net.take_deliveries();
+        let d = drain(&mut net, Time::from_ns(500));
         assert_eq!(d.len(), 16);
         let dests: std::collections::BTreeSet<u16> = d.iter().map(|x| x.dest.0).collect();
         assert_eq!(dests.len(), 16);
@@ -765,8 +794,7 @@ pub(super) mod tests {
             net.inject(Time::from_ns(t), src, i);
             t += 13;
         }
-        net.run_until(Time::from_ns(5_000));
-        let d = net.take_deliveries();
+        let d = drain(&mut net, Time::from_ns(5_000));
         assert_eq!(d.len(), 20 * 16);
         let mut orders: Vec<Vec<u32>> = vec![Vec::new(); 16];
         for x in &d {
@@ -783,7 +811,7 @@ pub(super) mod tests {
         net.run_until(Time::from_ns(150));
         // Initial fire at t=0, then one round per 15 ns: GT = 11 at t=150.
         assert_eq!(net.endpoint_gt(NodeId(0)), Gt::from_ticks(11));
-        let s = net.stats();
+        let s = &net.stats()[0];
         assert_eq!(s.min_endpoint_gt, s.max_endpoint_gt, "lock-step when idle");
     }
 
@@ -795,10 +823,8 @@ pub(super) mod tests {
         let mut slacked = unloaded(Fabric::torus4x4(), 2);
         zero.inject(Time::from_ns(40), NodeId(0), 1);
         slacked.inject(Time::from_ns(40), NodeId(0), 1);
-        zero.run_until(Time::from_ns(1_000));
-        slacked.run_until(Time::from_ns(1_000));
-        assert_eq!(zero.take_deliveries().len(), 16);
-        assert_eq!(slacked.take_deliveries().len(), 16);
+        assert_eq!(drain(&mut zero, Time::from_ns(1_000)).len(), 16);
+        assert_eq!(drain(&mut slacked, Time::from_ns(1_000)).len(), 16);
         assert_eq!(
             zero.endpoint_gt(NodeId(5)),
             slacked.endpoint_gt(NodeId(5)),
@@ -835,8 +861,11 @@ pub(super) mod tests {
             zero.endpoint_gt(NodeId(5)),
             slacked.endpoint_gt(NodeId(5))
         );
-        zero.run_until(Time::from_ns(30_000));
-        assert_eq!(zero.take_deliveries().len(), 96, "all still delivered");
+        assert_eq!(
+            drain(&mut zero, Time::from_ns(30_000)).len(),
+            96,
+            "all still delivered"
+        );
     }
 
     #[test]
@@ -853,8 +882,7 @@ pub(super) mod tests {
         for i in 0..10u32 {
             net.inject(Time::from_ns(40 + 2 * i as u64), NodeId((i % 4) as u16), i);
         }
-        net.run_until(Time::from_ns(20_000));
-        let d = net.take_deliveries();
+        let d = drain(&mut net, Time::from_ns(20_000));
         assert_eq!(d.len(), 160, "all copies still delivered under contention");
         let mut orders: Vec<Vec<u32>> = vec![Vec::new(); 16];
         for x in &d {
@@ -863,7 +891,7 @@ pub(super) mod tests {
         for o in &orders[1..] {
             assert_eq!(o, &orders[0], "contention broke the total order");
         }
-        let stats = net.stats();
+        let stats = &net.stats()[0];
         assert!(stats.switch_buffer_high_water > 0, "expected buffering");
     }
 
@@ -871,11 +899,9 @@ pub(super) mod tests {
     fn self_delivery_waits_for_logical_time() {
         let mut net = unloaded(Fabric::torus4x4(), 2);
         net.inject(Time::from_ns(40), NodeId(3), 9);
-        net.run_until(Time::from_ns(40));
         // Not yet processed: the source must wait for its own OT.
-        assert!(net.take_deliveries().is_empty());
-        net.run_until(Time::from_ns(2_000));
-        let d = net.take_deliveries();
+        assert!(drain(&mut net, Time::from_ns(40)).is_empty());
+        let d = drain(&mut net, Time::from_ns(2_000));
         let self_copy = d.iter().find(|x| x.dest == NodeId(3)).unwrap();
         assert!(self_copy.ordered_at > Time::from_ns(40));
         // The self copy physically travels node -> switch -> node.
@@ -900,14 +926,16 @@ pub(super) mod tests {
         net.inject(Time::from_ns(40), NodeId(0), 1);
         // Simulate the counters of a (much) longer run; only the lifetime
         // totals move, the in-flight state is untouched.
-        net.injected = u64::MAX / 8;
-        net.processed = net.injected - 1;
+        let counters = &mut net.plane_stats[0];
+        counters.injected = u64::MAX / 8;
+        counters.processed = counters.injected - 1;
         assert_eq!(net.outstanding(), 16, "one broadcast, 16 copies in flight");
-        net.injected = 1;
-        net.processed = 0;
-        net.run_until(Time::from_ns(2_000));
+        let counters = &mut net.plane_stats[0];
+        counters.injected = 1;
+        counters.processed = 0;
+        let d = drain(&mut net, Time::from_ns(2_000));
         assert_eq!(net.outstanding(), 0);
-        assert_eq!(net.take_deliveries().len(), 16);
+        assert_eq!(d.len(), 16);
     }
 
     /// A network whose guarantee times start one wave short of the era
@@ -930,10 +958,7 @@ pub(super) mod tests {
             for i in 0..10u32 {
                 net.inject(Time::from_ns(40 + 2 * i as u64), NodeId((i % 4) as u16), i);
             }
-            net.run_until(Time::from_ns(20_000));
-            let gts = (0..16).map(|n| net.endpoint_gt(NodeId(n))).collect();
-            let log = net
-                .take_deliveries()
+            let log = drain(&mut net, Time::from_ns(20_000))
                 .iter()
                 .map(|d| {
                     (
@@ -946,6 +971,7 @@ pub(super) mod tests {
                     )
                 })
                 .collect();
+            let gts = (0..16).map(|n| net.endpoint_gt(NodeId(n))).collect();
             (gts, log)
         };
         // Two waves before the tick field wraps into era 1.
@@ -966,37 +992,12 @@ pub(super) mod tests {
         let mut net = unloaded(Fabric::torus4x4(), 2);
         net.inject(Time::from_ns(40), NodeId(0), 1);
         net.run_until(Time::from_ns(2_000));
-        let stats = net.stats();
+        let stats = &net.stats()[0];
         // The nearest endpoints receive early and wait; the furthest waits
         // only for the residual slack.
         assert!(stats.ordering_delay.max().unwrap() > stats.ordering_delay.min().unwrap());
         assert_eq!(stats.processed, 16);
         assert_eq!(stats.injected, 1);
-    }
-
-    /// One delivery, flattened: (dest, src, seq, ot, arrival,
-    /// ordered_at, payload).
-    type TraceRow = (u16, u16, u64, Gt, Time, Time, u32);
-
-    /// Every observable bit of a finished run, flattened for the trace
-    /// digest.
-    fn full_trace(net: &mut DetailedNet<u32>) -> (Vec<TraceRow>, String) {
-        let log = net
-            .take_deliveries()
-            .iter()
-            .map(|d| {
-                (
-                    d.dest.0,
-                    d.src.0,
-                    d.seq,
-                    d.ot,
-                    d.arrival,
-                    d.ordered_at,
-                    *d.payload,
-                )
-            })
-            .collect();
-        (log, format!("{:?}", net.stats()))
     }
 
     /// A contended mixed workload: bursty same-instant injections from
@@ -1017,14 +1018,6 @@ pub(super) mod tests {
     /// Instant the contended schedule runs to; every copy is out by then.
     pub(in crate::token) const CONTENDED_END: Time = Time::from_ns(60_000);
 
-    fn drive_contended(net: &mut DetailedNet<u32>) -> (Vec<TraceRow>, String) {
-        for (at, src, payload) in contended_schedule() {
-            net.inject(at, src, payload);
-        }
-        net.run_until(CONTENDED_END);
-        full_trace(net)
-    }
-
     pub(in crate::token) fn contended_cfg(gt_origin: Gt) -> DetailedNetConfig {
         DetailedNetConfig {
             link_occupancy: Duration::from_ns(40),
@@ -1042,8 +1035,14 @@ pub(super) mod tests {
             ..contended_cfg(Gt::ZERO)
         };
         let mut net = DetailedNet::new(Arc::new(Fabric::torus4x4()), cfg);
-        let (log, _) = drive_contended(&mut net);
-        assert_eq!(log.len(), 48 * 16, "every copy delivered");
+        for (at, src, payload) in contended_schedule() {
+            net.inject(at, src, payload);
+        }
+        assert_eq!(
+            drain(&mut net, CONTENDED_END).len(),
+            48 * 16,
+            "every copy delivered"
+        );
         net
     }
 
@@ -1059,31 +1058,22 @@ pub(super) mod tests {
         };
         assert_eq!(idle(Fabric::torus4x4()), 10 * 32); // 32 vertices
         assert_eq!(idle(Fabric::butterfly(4, 2, 1)), 10 * 24); // 24 vertices
-        let fabric = Arc::new(Fabric::butterfly16());
-        let planes: u64 = (0..fabric.planes())
-            .map(|p| {
-                let mut net: DetailedNet<u32> =
-                    DetailedNet::for_plane(Arc::clone(&fabric), DetailedNetConfig::default(), p);
-                net.run_until(Time::from_ns(150));
-                net.calendar_pops()
-            })
-            .sum();
-        assert_eq!(planes, 4 * 10 * 24); // 4 planes of 24 vertices
+        assert_eq!(idle(Fabric::butterfly16()), 4 * 10 * 24); // 4 planes of 24 vertices
         assert_eq!(contended_torus(None).calendar_pops(), 127_402);
     }
 
     #[test]
     fn buffer_depth_at_the_high_water_completes() {
-        let high = contended_torus(None).stats().switch_buffer_high_water;
+        let high = contended_torus(None).stats()[0].switch_buffer_high_water;
         assert!(high > 1, "the contended schedule must buffer, got {high}");
         let capped = contended_torus(Some(high as u32));
-        assert_eq!(capped.stats().switch_buffer_high_water, high);
+        assert_eq!(capped.stats()[0].switch_buffer_high_water, high);
     }
 
     #[test]
     #[should_panic(expected = "provisioned switch buffering")]
     fn buffer_depth_below_the_high_water_panics() {
-        let high = contended_torus(None).stats().switch_buffer_high_water;
+        let high = contended_torus(None).stats()[0].switch_buffer_high_water;
         contended_torus(Some(high as u32 - 1));
     }
 }

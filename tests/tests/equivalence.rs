@@ -10,9 +10,7 @@
 use std::sync::Arc;
 
 use tss::address_net::{AddrDelivery, AddressNet};
-use tss_net::{
-    DetailedNet, DetailedNetConfig, Fabric, FastOrderedNet, MultiPlaneNet, NodeId, OrderedNetTiming,
-};
+use tss_net::{DetailedNet, DetailedNetConfig, Fabric, FastOrderedNet, NodeId, OrderedNetTiming};
 use tss_sim::rng::SimRng;
 use tss_sim::{Duration, Gt, Time};
 
@@ -62,9 +60,10 @@ fn run_both(
     for &(t, src, payload) in injections {
         detailed.inject(Time::from_ns(t), NodeId(src), payload);
     }
-    detailed.run_until(last + Duration::from_ns(20 * link_ns));
+    let mut ds = Vec::new();
+    detailed.drain_into(last + Duration::from_ns(20 * link_ns), &mut ds);
     let mut det_out: EndpointLogs = vec![Vec::new(); n];
-    for d in detailed.take_deliveries() {
+    for d in ds {
         det_out[d.dest.index()].push((*d.payload, d.ordered_at.as_ns()));
     }
     (fast_out, det_out)
@@ -144,8 +143,8 @@ fn detailed_net_survives_contention_where_fast_cannot_model_it() {
     for &(t, src, payload) in &injections {
         net.inject(Time::from_ns(t), NodeId(src), payload);
     }
-    net.run_until(Time::from_ns(100_000));
-    let deliveries = net.take_deliveries();
+    let mut deliveries = Vec::new();
+    net.drain_into(Time::from_ns(100_000), &mut deliveries);
     assert_eq!(deliveries.len(), 60 * 16);
     let mut orders: Vec<Vec<u32>> = vec![Vec::new(); 16];
     for d in &deliveries {
@@ -220,7 +219,7 @@ fn check_address_net_equivalence_from(
             ..OrderedNetTiming::uniform(link, slack + 1)
         },
     );
-    let detailed: &mut dyn AddressNet<u32> = &mut MultiPlaneNet::new(
+    let detailed: &mut dyn AddressNet<u32> = &mut DetailedNet::new(
         Arc::new(fabric()),
         DetailedNetConfig {
             link_latency: link,
@@ -287,35 +286,24 @@ fn address_net_equivalence_survives_long_idle_gaps() {
 fn multi_plane_butterfly_matches_single_plane_order() {
     // The four-plane butterfly (round-robin injection + min-GT merge)
     // must produce the same per-endpoint total order as running the same
-    // schedule through one plane.
+    // schedule through one plane of the same shape.
     let injections = schedule(21, 16, 30);
-
-    let mut multi: MultiPlaneNet<u32> = MultiPlaneNet::new(
-        Arc::new(Fabric::butterfly16()),
-        DetailedNetConfig::default(),
-    );
-    for &(t, src, payload) in &injections {
-        multi.inject(Time::from_ns(t), NodeId(src), payload);
-    }
-    let mut ds = Vec::new();
-    multi.drain_into(Time::from_ns(20_000), &mut ds);
-    let mut multi_orders: Vec<Vec<u32>> = vec![Vec::new(); 16];
-    for d in ds {
-        multi_orders[d.dest.index()].push(*d.payload);
-    }
-
-    let mut single: DetailedNet<u32> = DetailedNet::new(
-        Arc::new(Fabric::butterfly16()),
-        DetailedNetConfig::default(),
-    );
-    for &(t, src, payload) in &injections {
-        single.inject(Time::from_ns(t), NodeId(src), payload);
-    }
-    single.run_until(Time::from_ns(20_000));
-    let mut single_orders: Vec<Vec<u32>> = vec![Vec::new(); 16];
-    for d in single.take_deliveries() {
-        single_orders[d.dest.index()].push(*d.payload);
-    }
+    let orders = |fabric: Fabric| -> Vec<Vec<u32>> {
+        let mut net: DetailedNet<u32> =
+            DetailedNet::new(Arc::new(fabric), DetailedNetConfig::default());
+        for &(t, src, payload) in &injections {
+            net.inject(Time::from_ns(t), NodeId(src), payload);
+        }
+        let mut ds = Vec::new();
+        net.drain_into(Time::from_ns(20_000), &mut ds);
+        let mut orders: Vec<Vec<u32>> = vec![Vec::new(); 16];
+        for d in ds {
+            orders[d.dest.index()].push(*d.payload);
+        }
+        orders
+    };
+    let multi_orders = orders(Fabric::butterfly16());
+    let single_orders = orders(Fabric::butterfly(4, 2, 1));
 
     // Both must be internally consistent; when all planes tick in
     // lock step the orders coincide across the two configurations too.

@@ -154,8 +154,8 @@ fn token_network_total_order() {
         for (i, &(t, src)) in schedule.iter().enumerate() {
             net.inject(Time::from_ns(t), NodeId(src), i as u64);
         }
-        net.run_until(Time::from_ns(30_000));
-        let deliveries = net.take_deliveries();
+        let mut deliveries = Vec::new();
+        net.drain_into(Time::from_ns(30_000), &mut deliveries);
         assert_eq!(deliveries.len(), schedule.len() * 16, "case {case}");
         let mut orders: Vec<Vec<u64>> = vec![Vec::new(); 16];
         for d in &deliveries {
