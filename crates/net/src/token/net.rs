@@ -1027,6 +1027,92 @@ pub(super) mod tests {
         }
     }
 
+    /// Pins the path the System runs: the contended schedule's released
+    /// log — each instant's copies in (node, key) order — plus every
+    /// plane's final stats, on all three fabrics at GT origin zero and two
+    /// ticks before an era rollover, as `(fabric, origin, digest)`. A moved
+    /// digest means event order, §2.2 rule processing, the round-robin
+    /// plane choice or the min-GT merge changed.
+    pub(in crate::token) fn contended_digests() -> [(Fabric, Gt, &'static str); 6] {
+        let era_edge = Gt::from_parts(0, Gt::TICK_MASK - 1);
+        [
+            (
+                Fabric::torus4x4(),
+                Gt::ZERO,
+                "587aa6d25b82dee4aa2077ce29e858bf",
+            ),
+            (
+                Fabric::torus4x4(),
+                era_edge,
+                "239b028e5603f1c6092a1698fd10b398",
+            ),
+            (
+                Fabric::butterfly(4, 2, 1),
+                Gt::ZERO,
+                "979c28b3e71743a193d037425df428a1",
+            ),
+            (
+                Fabric::butterfly(4, 2, 1),
+                era_edge,
+                "ba26d6349930556b3b5e53e51e93ae40",
+            ),
+            (
+                Fabric::butterfly16(),
+                Gt::ZERO,
+                "1b765c527f55bf47cad69f2c4d42ab26",
+            ),
+            (
+                Fabric::butterfly16(),
+                era_edge,
+                "a0f9fda240841a222ce1b25822d6a8cf",
+            ),
+        ]
+    }
+
+    /// Runs the contended schedule on `fabric` from `origin` and checks the
+    /// digest of its released log and per-plane stats against `want`.
+    pub(in crate::token) fn assert_contended_digest(fabric: Fabric, origin: Gt, want: &str) {
+        use tss_sim::hash::fingerprint128;
+        let mut n = DetailedNet::new(Arc::new(fabric), contended_cfg(origin));
+        for (at, src, payload) in contended_schedule() {
+            n.inject(at, src, payload);
+        }
+        let log: Vec<_> = drain(&mut n, CONTENDED_END)
+            .iter()
+            .map(|d| {
+                (
+                    d.dest.0,
+                    d.src.0,
+                    d.seq,
+                    d.ot,
+                    d.arrival,
+                    d.ordered_at,
+                    *d.payload,
+                )
+            })
+            .collect();
+        assert_eq!(log.len(), 48 * 16, "every copy released");
+        let stats: Vec<String> = n.stats().iter().map(|s| format!("{s:?}")).collect();
+        let digest = fingerprint128(format!("{log:?} {stats:?}").as_bytes());
+        assert_eq!(
+            format!("{digest:032x}"),
+            want,
+            "released trace moved on {} planes at origin {origin:?}",
+            stats.len()
+        );
+    }
+
+    /// The single-plane rows of [`contended_digests`]: the torus and the
+    /// one-plane butterfly.
+    #[test]
+    fn contended_trace_matches_pinned_digests() {
+        for (fabric, origin, want) in contended_digests() {
+            if fabric.planes() == 1 {
+                assert_contended_digest(fabric, origin, want);
+            }
+        }
+    }
+
     /// The contended torus schedule with its switch buffering capped at
     /// `depth`; the high water of the uncapped run when `depth` is `None`.
     fn contended_torus(depth: Option<u32>) -> DetailedNet<u32> {
