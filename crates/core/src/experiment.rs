@@ -1132,31 +1132,40 @@ impl GridPlan {
     }
 }
 
+/// The store's entry for `plan`, marked `cached`, if the store holds one
+/// that belongs to it.
+///
+/// Trust but verify: the entry's configuration echo must match the plan,
+/// or it is a key collision or a foreign artifact, and the cell is a miss
+/// (a later simulation overwrites it). The local grid runner and the sweep
+/// server both serve store hits through this one check.
+pub fn load_cell(store: &CellStore, plan: &CellPlan) -> Option<RunReport> {
+    let (cfg, spec) = (&plan.cfg, &plan.spec);
+    let mut cell = store.load(plan.key)?;
+    let echoes_plan = cell.workload == spec.name
+        && cell.protocol == cfg.protocol
+        && cell.topology == cfg.topology
+        && cell.net == cfg.net
+        && cell.seed == cfg.seed
+        && cell.perturbation_ns == cfg.perturbation_ns
+        && cell.perturbation_runs == plan.runs;
+    if !echoes_plan {
+        return None;
+    }
+    cell.cell_key = Some(plan.key);
+    cell.cached = true;
+    Some(cell)
+}
+
 /// Executes one planned cell: served from the store when a matching entry
-/// exists (marked `cached`), simulated — and written back, best-effort —
+/// exists ([`load_cell`]), simulated — and written back, best-effort —
 /// otherwise. This is the unit of work both the local grid runner and the
 /// sweep server schedule.
 pub fn run_or_load_cell(store: Option<&CellStore>, plan: &CellPlan) -> RunReport {
-    let (key, cfg, spec, runs) = (plan.key, &plan.cfg, &plan.spec, plan.runs);
-    if let Some(store) = store {
-        if let Some(mut cell) = store.load(key) {
-            // Trust but verify: the configuration echo must match the
-            // plan, or the entry is a key collision / foreign artifact
-            // and gets re-simulated (and overwritten) instead of used.
-            if cell.workload == spec.name
-                && cell.protocol == cfg.protocol
-                && cell.topology == cfg.topology
-                && cell.net == cfg.net
-                && cell.seed == cfg.seed
-                && cell.perturbation_ns == cfg.perturbation_ns
-                && cell.perturbation_runs == runs
-            {
-                cell.cell_key = Some(key);
-                cell.cached = true;
-                return cell;
-            }
-        }
+    if let Some(cell) = store.and_then(|store| load_cell(store, plan)) {
+        return cell;
     }
+    let (key, cfg, spec, runs) = (plan.key, &plan.cfg, &plan.spec, plan.runs);
     let stats = min_over_perturbations(cfg, spec, runs);
     let mut report = RunReport::from_stats(spec.name.clone(), cfg, runs, stats);
     report.cell_key = Some(key);
@@ -1382,6 +1391,33 @@ mod tests {
         assert!(second.cells.iter().all(|c| c.cached));
         // Provenance stays in memory; the complete artifact is canonical.
         assert_eq!(second.to_json(), cold.to_json());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_cell_serves_only_entries_that_echo_the_plan() {
+        let dir = std::env::temp_dir().join(format!("tss-load-cell-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = CellStore::open(&dir).unwrap();
+        let plan = tiny_grid().plan().unwrap();
+        let (ts, opt) = (&plan.cells[0], &plan.cells[1]);
+        assert!(load_cell(&store, ts).is_none(), "empty store misses");
+
+        let fresh = run_or_load_cell(Some(&store), ts);
+        assert!(!fresh.cached);
+        let hit = load_cell(&store, ts).expect("the write-back is a hit");
+        assert!(hit.cached);
+        assert_eq!(hit.cell_key, Some(ts.key));
+        assert_eq!(hit.stats.runtime, fresh.stats.runtime);
+
+        // Another cell's entry under this key: its echo names the wrong
+        // protocol, so it is a miss, and the run overwrites it.
+        let mut foreign = fresh.clone();
+        foreign.protocol = opt.cfg.protocol;
+        store.store(ts.key, &foreign).unwrap();
+        assert!(load_cell(&store, ts).is_none(), "echo mismatch is a miss");
+        assert!(!run_or_load_cell(Some(&store), ts).cached);
+        assert!(load_cell(&store, ts).is_some(), "the entry healed");
         std::fs::remove_dir_all(&dir).ok();
     }
 

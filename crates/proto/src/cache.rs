@@ -3,6 +3,14 @@
 //!
 //! The paper's target: a unified 4 MB, 4-way, 64-byte-block L2 per node
 //! (§4.2), with silent S→I downgrades allowed.
+//!
+//! The tag array is sparse — a set is allocated by the first fill that
+//! lands in it — because a run touches only a sliver of 16 nodes × 16,384
+//! sets. Geometry, LRU order and victim choice are those of a dense
+//! array of per-set line vectors; the unit tests drive both side by side
+//! and require identical answers.
+
+use tss_sim::hash::FastMap;
 
 use crate::types::Block;
 
@@ -75,10 +83,19 @@ pub struct Victim {
 ///
 /// Only stable states live here; transient (in-flight) state is tracked by
 /// each protocol engine's MSHRs. Lookups and fills maintain LRU order.
+///
+/// Storage is sparse: a set exists only once a fill first lands in it, so
+/// an idle cache costs a few words however large its geometry. The paper
+/// grids touch well under a megabyte of data per run, while a dense
+/// §4.2 tag array would cost 16,384 set headers per node up front.
 #[derive(Debug)]
 pub struct L2Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// `cfg.sets()`, fixed at construction so a lookup costs one modulo.
+    set_count: u64,
+    /// The sets filled at least once, by set index; an absent set is
+    /// empty. Never iterated, so the map's order cannot reach a result.
+    sets: FastMap<u64, Vec<Line>>,
     tick: u64,
 }
 
@@ -92,35 +109,47 @@ impl L2Cache {
         assert!(cfg.ways > 0, "cache needs at least one way");
         assert!(cfg.sets() > 0, "cache needs at least one set");
         L2Cache {
-            sets: (0..cfg.sets()).map(|_| Vec::new()).collect(),
             cfg,
+            set_count: cfg.sets(),
+            sets: FastMap::default(),
             tick: 0,
         }
     }
 
-    fn set_of(&self, block: Block) -> usize {
-        (block.0 % self.cfg.sets()) as usize
+    fn set_of(&self, block: Block) -> u64 {
+        block.0 % self.set_count
+    }
+
+    fn line(&self, block: Block) -> Option<&Line> {
+        self.sets
+            .get(&self.set_of(block))?
+            .iter()
+            .find(|l| l.block == block)
+    }
+
+    fn line_mut(&mut self, block: Block) -> Option<&mut Line> {
+        let set_idx = self.set_of(block);
+        self.sets
+            .get_mut(&set_idx)?
+            .iter_mut()
+            .find(|l| l.block == block)
     }
 
     /// The state of `block`, if present.
     pub fn state(&self, block: Block) -> Option<CacheState> {
-        let set = &self.sets[self.set_of(block)];
-        set.iter().find(|l| l.block == block).map(|l| l.state)
+        self.line(block).map(|l| l.state)
     }
 
     /// The cached value of `block`, if present.
     pub fn value(&self, block: Block) -> Option<u64> {
-        let set = &self.sets[self.set_of(block)];
-        set.iter().find(|l| l.block == block).map(|l| l.value)
+        self.line(block).map(|l| l.value)
     }
 
     /// Looks `block` up, refreshing LRU. Returns its state if present.
     pub fn touch(&mut self, block: Block) -> Option<CacheState> {
         self.tick += 1;
         let tick = self.tick;
-        let set_idx = self.set_of(block);
-        let set = &mut self.sets[set_idx];
-        set.iter_mut().find(|l| l.block == block).map(|l| {
+        self.line_mut(block).map(|l| {
             l.last_use = tick;
             l.state
         })
@@ -133,12 +162,7 @@ impl L2Cache {
     ///
     /// Panics if the block is not cached.
     pub fn write(&mut self, block: Block, value: u64) {
-        let set_idx = self.set_of(block);
-        let line = self.sets[set_idx]
-            .iter_mut()
-            .find(|l| l.block == block)
-            .expect("write to uncached block");
-        line.value = value;
+        self.line_mut(block).expect("write to uncached block").value = value;
     }
 
     /// Changes the state of a present block.
@@ -147,18 +171,17 @@ impl L2Cache {
     ///
     /// Panics if the block is not cached.
     pub fn set_state(&mut self, block: Block, state: CacheState) {
-        let set_idx = self.set_of(block);
-        let line = self.sets[set_idx]
-            .iter_mut()
-            .find(|l| l.block == block)
-            .expect("state change on uncached block");
-        line.state = state;
+        self.line_mut(block)
+            .expect("state change on uncached block")
+            .state = state;
     }
 
     /// Removes `block` (invalidations, M→I transfers). No-op if absent.
     pub fn invalidate(&mut self, block: Block) {
         let set_idx = self.set_of(block);
-        self.sets[set_idx].retain(|l| l.block != block);
+        if let Some(set) = self.sets.get_mut(&set_idx) {
+            set.retain(|l| l.block != block);
+        }
     }
 
     /// Inserts `block`, evicting the LRU line if the set is full.
@@ -177,7 +200,10 @@ impl L2Cache {
         let tick = self.tick;
         let ways = self.cfg.ways as usize;
         let set_idx = self.set_of(block);
-        let set = &mut self.sets[set_idx];
+        let set = self
+            .sets
+            .entry(set_idx)
+            .or_insert_with(|| Vec::with_capacity(ways));
         if let Some(line) = set.iter_mut().find(|l| l.block == block) {
             line.state = state;
             line.value = value;
@@ -207,14 +233,6 @@ impl L2Cache {
             last_use: tick,
         });
         victim
-    }
-
-    /// Iterates over all currently cached (block, state, value) triples.
-    pub fn iter(&self) -> impl Iterator<Item = (Block, CacheState, u64)> + '_ {
-        self.sets
-            .iter()
-            .flatten()
-            .map(|l| (l.block, l.state, l.value))
     }
 
     /// The geometry this cache was built with.
@@ -316,5 +334,186 @@ mod tests {
     fn write_to_absent_block_panics() {
         let mut c = L2Cache::new(CacheConfig::tiny(1, 1));
         c.write(Block(0), 1);
+    }
+
+    /// The dense tag array the sparse one replaced: one line vector per
+    /// set, all allocated up front. Kept as the reference model.
+    struct DenseL2 {
+        cfg: CacheConfig,
+        sets: Vec<Vec<Line>>,
+        tick: u64,
+    }
+
+    impl DenseL2 {
+        fn new(cfg: CacheConfig) -> Self {
+            DenseL2 {
+                sets: (0..cfg.sets()).map(|_| Vec::new()).collect(),
+                cfg,
+                tick: 0,
+            }
+        }
+
+        fn set_of(&self, block: Block) -> usize {
+            (block.0 % self.cfg.sets()) as usize
+        }
+
+        fn line(&self, block: Block) -> Option<&Line> {
+            self.sets[self.set_of(block)]
+                .iter()
+                .find(|l| l.block == block)
+        }
+
+        fn line_mut(&mut self, block: Block) -> Option<&mut Line> {
+            let set_idx = self.set_of(block);
+            self.sets[set_idx].iter_mut().find(|l| l.block == block)
+        }
+
+        fn touch(&mut self, block: Block) -> Option<CacheState> {
+            self.tick += 1;
+            let tick = self.tick;
+            self.line_mut(block).map(|l| {
+                l.last_use = tick;
+                l.state
+            })
+        }
+
+        fn invalidate(&mut self, block: Block) {
+            let set_idx = self.set_of(block);
+            self.sets[set_idx].retain(|l| l.block != block);
+        }
+
+        fn fill(
+            &mut self,
+            block: Block,
+            state: CacheState,
+            value: u64,
+            protect: Option<Block>,
+        ) -> Option<Victim> {
+            self.tick += 1;
+            let tick = self.tick;
+            let ways = self.cfg.ways as usize;
+            let set_idx = self.set_of(block);
+            let set = &mut self.sets[set_idx];
+            if let Some(line) = set.iter_mut().find(|l| l.block == block) {
+                line.state = state;
+                line.value = value;
+                line.last_use = tick;
+                return None;
+            }
+            let mut victim = None;
+            if set.len() >= ways {
+                let idx = set
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, l)| Some(l.block) != protect)
+                    .min_by_key(|(_, l)| l.last_use)
+                    .map(|(i, _)| i)
+                    .expect("set full of protected blocks");
+                let evicted = set.swap_remove(idx);
+                victim = Some(Victim {
+                    block: evicted.block,
+                    dirty: evicted.state == CacheState::Modified,
+                    value: evicted.value,
+                });
+            }
+            set.push(Line {
+                block,
+                state,
+                value,
+                last_use: tick,
+            });
+            victim
+        }
+    }
+
+    /// Drives the sparse cache and the dense reference with one seeded
+    /// random operation sequence and requires identical answers, victims
+    /// included. Blocks crowd into a few sets so fills evict.
+    fn agrees_with_dense(cfg: CacheConfig, seed: u64, ops: usize) {
+        use tss_sim::rng::SimRng;
+
+        let sets = cfg.sets();
+        let crowded_sets = sets.min(3);
+        let universe: Vec<Block> = (0..crowded_sets)
+            .flat_map(|s| (0..u64::from(cfg.ways) * 3).map(move |k| Block(s + k * sets)))
+            .collect();
+        let mut rng = SimRng::from_seed_and_stream(seed, sets);
+        let mut sparse = L2Cache::new(cfg);
+        let mut dense = DenseL2::new(cfg);
+        for step in 0..ops {
+            let block = universe[rng.index(universe.len())];
+            let present = dense.line(block).is_some();
+            let state = if rng.chance(0.5) {
+                CacheState::Shared
+            } else {
+                CacheState::Modified
+            };
+            let value = rng.gen_range(0..1_000);
+            match rng.index(7) {
+                0 | 1 => {
+                    // A protected block must leave a victim: one per set
+                    // at most, so only with two or more ways.
+                    let protect = (cfg.ways > 1 && rng.chance(0.5))
+                        .then(|| universe[rng.index(universe.len())]);
+                    assert_eq!(
+                        sparse.fill(block, state, value, protect),
+                        dense.fill(block, state, value, protect),
+                        "fill of {block:?} at step {step}"
+                    );
+                }
+                2 => assert_eq!(sparse.touch(block), dense.touch(block), "step {step}"),
+                3 if present => {
+                    sparse.write(block, value);
+                    dense.line_mut(block).unwrap().value = value;
+                }
+                4 if present => {
+                    sparse.set_state(block, state);
+                    dense.line_mut(block).unwrap().state = state;
+                }
+                5 => {
+                    sparse.invalidate(block);
+                    dense.invalidate(block);
+                }
+                _ => {}
+            }
+            assert_eq!(
+                sparse.state(block),
+                dense.line(block).map(|l| l.state),
+                "state of {block:?} at step {step}"
+            );
+            assert_eq!(
+                sparse.value(block),
+                dense.line(block).map(|l| l.value),
+                "value of {block:?} at step {step}"
+            );
+        }
+        for &block in &universe {
+            assert_eq!(sparse.state(block), dense.line(block).map(|l| l.state));
+            assert_eq!(sparse.value(block), dense.line(block).map(|l| l.value));
+        }
+    }
+
+    #[test]
+    fn sparse_sets_match_the_dense_reference() {
+        for (sets, ways) in [(1, 1), (1, 4), (4, 2), (3, 3), (8, 4)] {
+            for seed in 0..4 {
+                agrees_with_dense(CacheConfig::tiny(sets, ways), seed, 4_000);
+            }
+        }
+        for seed in 0..4 {
+            agrees_with_dense(CacheConfig::paper_default(), seed, 4_000);
+        }
+    }
+
+    #[test]
+    fn sets_are_allocated_by_their_first_fill() {
+        let mut c = L2Cache::new(CacheConfig::paper_default());
+        assert!(c.sets.is_empty());
+        assert_eq!(c.touch(Block(5)), None);
+        c.invalidate(Block(5));
+        assert!(c.sets.is_empty(), "lookups allocate nothing");
+        c.fill(Block(5), CacheState::Shared, 0, None);
+        c.fill(Block(5 + 16_384), CacheState::Shared, 0, None);
+        assert_eq!(c.sets.len(), 1);
     }
 }

@@ -3,7 +3,7 @@
 //! [`GridReport`] — which, written with [`GridReport::to_json`], is
 //! byte-identical to the artifact a local run of the same grid produces.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -131,7 +131,17 @@ fn authority(base_url: &str) -> Result<String, RemoteError> {
     Ok(rest.to_string())
 }
 
-/// One non-streaming exchange on a fresh connection.
+/// A fresh connection to the server, with Nagle's algorithm off: every
+/// request leaves in one write, and nothing on this side should hold it
+/// back waiting for an ACK.
+fn connect(authority: &str) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(authority)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// One non-streaming exchange on a fresh connection. The request goes
+/// out in a single write.
 fn exchange(
     authority: &str,
     method: &str,
@@ -139,19 +149,19 @@ fn exchange(
     headers: &[(&str, &str)],
     body: &[u8],
 ) -> Result<(ResponseHead, Vec<u8>), RemoteError> {
-    let mut stream = TcpStream::connect(authority)?;
+    let mut stream = connect(authority)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    write!(stream, "{method} {path} HTTP/1.1\r\nHost: {authority}\r\n")?;
+    let mut request = format!("{method} {path} HTTP/1.1\r\nHost: {authority}\r\n");
     for (name, value) in headers {
-        write!(stream, "{name}: {value}\r\n")?;
+        request.push_str(&format!("{name}: {value}\r\n"));
     }
-    write!(
-        stream,
+    request.push_str(&format!(
         "Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    )?;
-    stream.write_all(body)?;
-    stream.flush()?;
+    ));
+    let mut request = request.into_bytes();
+    request.extend_from_slice(body);
+    stream.write_all(&request)?;
     let mut reader = BufReader::new(stream);
     let head = http::read_response_head(&mut reader)?;
     let body = http::read_body(&mut reader, &head)?;
@@ -203,12 +213,10 @@ pub fn run_remote(
 
     // Stream. No read timeout here: between events the server is
     // legitimately silent for as long as one cell simulates.
-    let mut stream = TcpStream::connect(&authority)?;
-    write!(
-        stream,
-        "GET /v1/grids/{id} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
+    let mut stream = connect(&authority)?;
+    let request =
+        format!("GET /v1/grids/{id} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes())?;
     let mut reader = BufReader::new(stream);
     let head = http::read_response_head(&mut reader)?;
     if head.status != 200 {

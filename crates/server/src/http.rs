@@ -155,8 +155,21 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, RequestError> {
     })
 }
 
+/// A response head: the status line, the given headers, the body's
+/// framing header, `Connection: close`, and the blank line.
+fn response_head(status: u16, reason: &str, headers: &[(&str, &str)], framing: &str) -> Vec<u8> {
+    let mut head = format!("HTTP/1.1 {status} {reason}\r\n");
+    for (name, value) in headers {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
+    head.push_str(framing);
+    head.push_str("\r\nConnection: close\r\n\r\n");
+    head.into_bytes()
+}
+
 /// Writes a complete fixed-length response (status line, the given
-/// headers plus `Content-Length` and `Connection: close`, then the body).
+/// headers plus `Content-Length` and `Connection: close`, then the body)
+/// in one write, so it leaves as few segments as its size allows.
 pub fn write_response<W: Write>(
     w: &mut W,
     status: u16,
@@ -164,16 +177,10 @@ pub fn write_response<W: Write>(
     headers: &[(&str, &str)],
     body: &[u8],
 ) -> io::Result<()> {
-    write!(w, "HTTP/1.1 {status} {reason}\r\n")?;
-    for (name, value) in headers {
-        write!(w, "{name}: {value}\r\n")?;
-    }
-    write!(
-        w,
-        "Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    )?;
-    w.write_all(body)?;
+    let framing = format!("Content-Length: {}", body.len());
+    let mut response = response_head(status, reason, headers, &framing);
+    response.extend_from_slice(body);
+    w.write_all(&response)?;
     w.flush()
 }
 
@@ -186,18 +193,20 @@ pub fn start_chunked<W: Write>(
     reason: &str,
     headers: &[(&str, &str)],
 ) -> io::Result<ChunkedWriter<W>> {
-    write!(w, "HTTP/1.1 {status} {reason}\r\n")?;
-    for (name, value) in headers {
-        write!(w, "{name}: {value}\r\n")?;
-    }
-    write!(w, "Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n")?;
+    w.write_all(&response_head(
+        status,
+        reason,
+        headers,
+        "Transfer-Encoding: chunked",
+    ))?;
     w.flush()?;
     Ok(ChunkedWriter { w })
 }
 
 /// The body writer of a chunked response: each [`ChunkedWriter::chunk`]
-/// is flushed immediately so the peer sees progress events as they
-/// happen, and [`ChunkedWriter::finish`] writes the terminating chunk.
+/// goes out in one write, flushed immediately so the peer sees progress
+/// events as they happen, and [`ChunkedWriter::finish`] writes the
+/// terminating chunk.
 #[derive(Debug)]
 pub struct ChunkedWriter<W: Write> {
     w: W,
@@ -210,9 +219,10 @@ impl<W: Write> ChunkedWriter<W> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.w, "{:x}\r\n", data.len())?;
-        self.w.write_all(data)?;
-        self.w.write_all(b"\r\n")?;
+        let mut chunk = format!("{:x}\r\n", data.len()).into_bytes();
+        chunk.extend_from_slice(data);
+        chunk.extend_from_slice(b"\r\n");
+        self.w.write_all(&chunk)?;
         self.w.flush()
     }
 
@@ -474,6 +484,49 @@ mod tests {
         assert_eq!(line, "{\"event\":\"cell\",\"index\":0}\n");
         line.clear();
         assert_eq!(lines.read_line(&mut line).unwrap(), 0, "clean EOF");
+    }
+
+    /// A writer that counts `write` calls: each one is a syscall, and a
+    /// segment on the wire, on an unbuffered `TcpStream`.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_and_chunk_is_one_write() {
+        let mut w = CountingWriter::default();
+        let headers = [("Content-Type", "application/json"), ("ETag", "\"4-ff\"")];
+        write_response(&mut w, 200, "OK", &headers, b"{}\n").unwrap();
+        assert_eq!(w.writes, 1, "head and body leave together");
+        write_response(&mut w, 304, "Not Modified", &headers[1..], b"").unwrap();
+        assert_eq!(w.writes, 2);
+
+        let mut chunks = start_chunked(CountingWriter::default(), 200, "OK", &headers).unwrap();
+        assert_eq!(chunks.w.writes, 1, "one write for the head");
+        chunks.chunk(b"{\"event\":\"start\"}\n").unwrap();
+        chunks.chunk(b"").unwrap();
+        chunks.chunk(b"{\"event\":\"cell\"}\n").unwrap();
+        assert_eq!(
+            chunks.w.writes, 3,
+            "one write per chunk, none for an empty one"
+        );
+        let text = String::from_utf8(chunks.w.bytes.clone()).unwrap();
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"));
+        assert!(text.ends_with("12\r\n{\"event\":\"start\"}\n\r\n11\r\n{\"event\":\"cell\"}\n\r\n"));
     }
 
     #[test]

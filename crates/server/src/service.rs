@@ -4,8 +4,9 @@
 //!
 //! Execution shape:
 //!
-//! * One **accept loop** (non-blocking listener, polled against the
-//!   shutdown flag) spawns a short-lived handler thread per connection.
+//! * One **accept loop** blocks in `accept()` and spawns a short-lived
+//!   handler thread per connection. Shutdown wakes it with one loopback
+//!   connection of its own, so no request ever waits on a poll period.
 //! * One pool of **cell workers** drains a single FIFO cell queue:
 //!   cells from *all* in-flight grid requests feed it in arrival order,
 //!   and each idle worker takes the next queued cell, so one long cell
@@ -13,9 +14,15 @@
 //! * **Single-flight dedupe**: an `inflight` map from [`CellKey`] to its
 //!   result slot. A request whose cell is already in flight joins the
 //!   existing slot instead of scheduling a duplicate; the cell executes
-//!   exactly once and every waiter gets the result. Cells finished in an
-//!   earlier life of the server are hits in the [`CellStore`] (the
-//!   workers load instead of simulating), so restarts resume warm.
+//!   exactly once and every waiter gets the result.
+//! * **Store hits at submit**: a cell the [`CellStore`] already holds
+//!   (this server computed it, or an earlier life of it did, so restarts
+//!   resume warm) gets a pre-filled slot when its grid is posted and is
+//!   never queued behind cold cells. Workers check the store once more
+//!   before simulating, which covers a store write racing the submit.
+//! * **Single-use streams**: a grid's job (its plan and every cell
+//!   result) is released when its stream ends, so the server holds only
+//!   the grids posted and not yet streamed.
 //! * **Graceful shutdown** ([`SweepServer::begin_shutdown`]): the
 //!   queue is abandoned — workers finish the cells they hold,
 //!   queued cells are dropped, streaming responses emit an `aborted`
@@ -24,14 +31,14 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tss::experiment::{run_or_load_cell, CellPlan, GridPlan, CELL_REV};
+use tss::experiment::{load_cell, run_or_load_cell, CellPlan, GridPlan, CELL_REV};
 use tss::{CellKey, CellStore, RunReport};
 
 use crate::client::GridRequest;
@@ -57,9 +64,10 @@ struct CellSlot {
 }
 
 impl CellSlot {
-    fn new() -> CellSlot {
+    /// A slot that fills later (`None`) or is already filled.
+    fn new(result: Option<RunReport>) -> CellSlot {
         CellSlot {
-            result: Mutex::new(None),
+            result: Mutex::new(result),
             ready: Condvar::new(),
         }
     }
@@ -175,7 +183,8 @@ impl<T> TaskQueue<T> {
 
 /// One accepted grid request: its compiled plan plus, per planned cell,
 /// the slot that will (or already does) hold the result. Two positions
-/// whose cells share a key share one slot.
+/// whose cells share a key and are not store hits share one slot. Lives
+/// in `State::grids` from its POST until its stream ends.
 struct GridJob {
     plan: GridPlan,
     slots: Vec<Arc<CellSlot>>,
@@ -193,6 +202,7 @@ struct State {
     store: CellStore,
     queue: TaskQueue<CellTask>,
     inflight: Mutex<HashMap<CellKey, Arc<CellSlot>>>,
+    /// Grids posted whose stream has not ended yet.
     grids: Mutex<HashMap<u64, Arc<GridJob>>>,
     next_grid: AtomicU64,
     stats: CellCounters,
@@ -232,7 +242,6 @@ impl SweepServer {
         });
 
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let accept_state = Arc::clone(&state);
@@ -270,6 +279,18 @@ impl SweepServer {
     pub fn begin_shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
         self.state.queue.abandon();
+        // Wake the accept loop, blocked in `accept()`: whatever
+        // connection it takes next, it sees the flag and exits. A
+        // wildcard bind is reached through loopback. Once the loop has
+        // exited (a repeated call) the connect is refused, harmlessly.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 
     /// Waits for the accept loop and every cell worker to exit. Only
@@ -296,14 +317,18 @@ impl SweepServer {
     }
 }
 
-/// Accepts connections until shutdown, one handler thread each. The
-/// listener is non-blocking so the loop can poll the shutdown flag.
+/// Accepts connections until shutdown, one handler thread each.
+/// [`SweepServer::begin_shutdown`] raises the flag and then connects, so
+/// the blocked `accept()` returns and the loop exits. A connection that
+/// lands after the flag rose is closed unanswered; the ones still in the
+/// backlog are refused when the listener drops.
 fn accept_loop(listener: TcpListener, state: Arc<State>) {
     loop {
+        let accepted = listener.accept();
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 let state = Arc::clone(&state);
                 std::thread::spawn(move || {
@@ -313,9 +338,8 @@ fn accept_loop(listener: TcpListener, state: Arc<State>) {
                     let _ = serve_connection(stream, &state);
                 });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
+            // Out of descriptors or a similar host limit: back off
+            // instead of spinning until a handler frees one.
             Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
     }
@@ -333,7 +357,8 @@ fn worker_loop(state: Arc<State>) {
         task.slot.fill(report);
         // Leave single-flight only after the slot is filled (and the
         // store written, inside run_or_load_cell): a request landing in
-        // any window either joins this slot or re-schedules a store hit.
+        // any window either joins this slot or finds the store hit at
+        // submit.
         state
             .inflight
             .lock()
@@ -342,9 +367,18 @@ fn worker_loop(state: Arc<State>) {
     }
 }
 
-/// Registers a compiled plan: one slot per cell, deduplicated against
-/// everything already in flight, new cells pushed onto the queue.
+/// Registers a compiled plan: one slot per cell. Store hits get a
+/// filled slot, the rest are deduplicated against everything already in
+/// flight, and only new cells are pushed onto the queue.
 fn submit_grid(state: &Arc<State>, plan: GridPlan) -> (u64, Arc<GridJob>) {
+    // Store reads first, outside the lock: they touch the disk, and a
+    // miss here that a worker's write turns into a hit a moment later is
+    // caught by that worker's own store check.
+    let stored: Vec<Option<RunReport>> = plan
+        .cells
+        .iter()
+        .map(|cell| load_cell(&state.store, cell))
+        .collect();
     let mut slots = Vec::with_capacity(plan.cells.len());
     {
         // One lock over the whole batch: the dedupe decision and the
@@ -352,15 +386,20 @@ fn submit_grid(state: &Arc<State>, plan: GridPlan) -> (u64, Arc<GridJob>) {
         // checks keeps two racing identical requests from interleaving
         // half-schedules.
         let mut inflight = state.inflight.lock().expect("inflight lock");
-        for cell in &plan.cells {
+        for (cell, stored) in plan.cells.iter().zip(stored) {
             state.stats.requested.fetch_add(1, Ordering::Relaxed);
+            if let Some(report) = stored {
+                state.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+                slots.push(Arc::new(CellSlot::new(Some(report))));
+                continue;
+            }
             let slot = match inflight.get(&cell.key) {
                 Some(existing) => {
                     state.stats.deduped.fetch_add(1, Ordering::Relaxed);
                     Arc::clone(existing)
                 }
                 None => {
-                    let slot = Arc::new(CellSlot::new());
+                    let slot = Arc::new(CellSlot::new(None));
                     inflight.insert(cell.key, Arc::clone(&slot));
                     // A closed queue (shutdown raced the request)
                     // drops the task; the waiter then aborts on the
@@ -388,6 +427,9 @@ fn submit_grid(state: &Arc<State>, plan: GridPlan) -> (u64, Arc<GridJob>) {
 /// Reads one request off the connection and routes it.
 fn serve_connection(stream: TcpStream, state: &Arc<State>) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+    // Every response and chunk leaves in one write; Nagle's algorithm
+    // could only delay it behind the peer's delayed ACK.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let request = match http::read_request(&mut reader) {
         Ok(request) => request,
@@ -489,8 +531,30 @@ fn post_grid(mut stream: TcpStream, state: &Arc<State>, request: &Request) -> io
     )
 }
 
+/// Drops a grid's job from `State::grids` when the stream serving it
+/// ends, however it ends.
+struct Release<'a> {
+    state: &'a State,
+    id: u64,
+}
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        // No panic in drop: a poisoned map is still whole, since every
+        // update to it is a single insert or remove.
+        self.state
+            .grids
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.id);
+    }
+}
+
 /// `GET /v1/grids/{id}`: stream NDJSON progress in plan order, then the
-/// final report.
+/// final report. A stream is single-use: the job is released before the
+/// final `report` or `aborted` event goes out (or when the stream breaks
+/// off), so a client that saw the last event finds `/v1/stats` already
+/// without it, and a repeat GET answers 404.
 fn get_grid_stream(stream: TcpStream, state: &Arc<State>, id_text: &str) -> io::Result<()> {
     let Ok(id) = id_text.parse::<u64>() else {
         return error_response(stream, 400, "Bad Request", "grid id must be an integer");
@@ -499,6 +563,7 @@ fn get_grid_stream(stream: TcpStream, state: &Arc<State>, id_text: &str) -> io::
     let Some(job) = job else {
         return error_response(stream, 404, "Not Found", "no such grid");
     };
+    let release = Release { state, id };
 
     let total = job.plan.cells.len();
     let mut chunks = http::start_chunked(
@@ -538,6 +603,7 @@ fn get_grid_stream(stream: TcpStream, state: &Arc<State>, id_text: &str) -> io::
                 cells.push(report);
             }
             None => {
+                drop(release);
                 let aborted = serde_json::Value::Object(vec![
                     ("event".into(), serde_json::Value::Str("aborted".into())),
                     (
@@ -553,6 +619,7 @@ fn get_grid_stream(stream: TcpStream, state: &Arc<State>, id_text: &str) -> io::
         }
     }
 
+    drop(release);
     let report = job.plan.report(cells);
     let final_event = serde_json::Value::Object(vec![
         ("event".into(), serde_json::Value::Str("report".into())),
@@ -597,7 +664,9 @@ fn get_cell(
     )
 }
 
-/// `GET /v1/stats`: the cache counters and the queue's flow counts.
+/// `GET /v1/stats`: the cache counters, the queue's flow counts
+/// (`submitted` counts cells queued: neither store hits nor dedupes), and
+/// the number of live grids (posted, stream not yet ended).
 fn get_stats(mut stream: TcpStream, state: &Arc<State>) -> io::Result<()> {
     let (submitted, abandoned) = state.queue.counts();
     let cells = serde_json::Value::Object(vec![

@@ -3,7 +3,11 @@
 //! exactly once, both artifacts byte-identical to a local run), the
 //! cell-entry ETag contract, error statuses, and graceful shutdown.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use tss::experiment::ExperimentGrid;
 use tss::{NetworkModelSpec, ProtocolKind, TopologyKind};
@@ -66,6 +70,29 @@ fn stat(stats: &serde_json::Value, group: &str, name: &str) -> u64 {
     }
 }
 
+/// Live grids: posted, stream not yet ended.
+fn live_grids(stats: &serde_json::Value) -> u64 {
+    match stats.get("grids") {
+        Some(serde_json::Value::U64(n)) => *n,
+        other => panic!("stats.grids missing or non-numeric: {other:?}"),
+    }
+}
+
+/// Runs `f` on its own thread and fails the test if it has not returned
+/// within `limit`: a hang becomes a failure instead of a stuck suite.
+fn within<T: Send + 'static>(
+    limit: Duration,
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("{what} did not return within {limit:?}"))
+}
+
 // ---------------------------------------------------- the acceptance bar
 
 #[test]
@@ -111,8 +138,15 @@ fn concurrent_identical_grids_execute_each_cell_exactly_once() {
         stat(&s, "cells", "deduped") + stat(&s, "cells", "cache_hits"),
         3
     );
+    // Each stream released its grid as it ended, so a stream is
+    // single-use and nothing accumulates across requests.
+    assert_eq!(live_grids(&s), 0, "finished grids are released");
+    let (head, _) = client::get(&url, "/v1/grids/1", &[]).expect("probe");
+    assert_eq!(head.status, 404, "a finished stream is gone");
+    let submitted = stat(&s, "scheduler", "submitted");
 
     // A later identical request is served entirely from the store.
+    let cached_before = stat(&s, "cells", "cache_hits");
     let mut cached = 0;
     let warm = client::run_remote(&url, &request("server-accept"), |event| {
         assert!(event.cached, "cell {} re-simulated", event.index);
@@ -127,6 +161,13 @@ fn concurrent_identical_grids_execute_each_cell_exactly_once() {
         3,
         "warm run must not simulate"
     );
+    assert_eq!(
+        stat(&s, "scheduler", "submitted"),
+        submitted,
+        "store hits are answered at submit, never queued"
+    );
+    assert_eq!(stat(&s, "cells", "cache_hits") - cached_before, 3);
+    assert_eq!(live_grids(&s), 0);
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
@@ -276,4 +317,89 @@ fn shutdown_mid_grid_abandons_queued_cells_and_leaves_the_store_clean() {
     let gc = store.gc(false).expect("gc");
     assert_eq!(gc.stale + gc.corrupt, 0, "{gc}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ------------------------------------------------------------ accept path
+
+#[test]
+fn sequential_round_trips_wait_on_no_poll() {
+    let (server, dir) = server("accept-latency", 1);
+    let url = server.url();
+    let start = Instant::now();
+    for _ in 0..20 {
+        let (head, body) = client::get(&url, "/v1/healthz", &[]).expect("healthz");
+        assert_eq!(head.status, 200);
+        assert_eq!(body, b"ok\n");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "20 healthz round trips took {elapsed:?}: the accept path waits"
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn idle_servers_shut_down_on_loopback_and_wildcard_binds() {
+    for (tag, addr) in [
+        ("idle-loopback", "127.0.0.1:0"),
+        ("idle-wildcard", "0.0.0.0:0"),
+    ] {
+        let dir = temp_dir(tag);
+        let server = SweepServer::start(ServerConfig {
+            addr: addr.into(),
+            store_dir: dir.clone(),
+            workers: 1,
+        })
+        .expect("sweep-server");
+        within(Duration::from_secs(10), "shutdown", move || {
+            server.shutdown()
+        });
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn a_connection_racing_shutdown_is_answered_or_refused() {
+    for round in 0..20u64 {
+        let (server, dir) = server("accept-race", 1);
+        let addr = server.local_addr();
+        // The probe connects while the drain begins, from just before it
+        // to just after (the round staggers it across that window): it
+        // must get a whole answer or a refusal (reset, EOF), never an
+        // open connection nobody serves.
+        let lined_up = Arc::new(Barrier::new(2));
+        let go = Arc::clone(&lined_up);
+        let probe = std::thread::spawn(move || -> Result<String, std::io::Error> {
+            go.wait();
+            std::thread::sleep(Duration::from_micros(round * 50));
+            let mut stream = TcpStream::connect(addr)?;
+            stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+            stream
+                .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")?;
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply)?;
+            Ok(reply)
+        });
+        lined_up.wait();
+        std::thread::sleep(Duration::from_micros(500));
+        within(Duration::from_secs(10), "shutdown", move || {
+            server.shutdown()
+        });
+        match probe.join().expect("probe thread") {
+            Ok(reply) => assert!(
+                reply.is_empty() || reply.starts_with("HTTP/1.1 200 OK") && reply.ends_with("ok\n"),
+                "round {round}: partial answer {reply:?}"
+            ),
+            Err(e) => assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "round {round}: connection left hanging ({e})"
+            ),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
