@@ -17,23 +17,14 @@
 //! ```
 
 use tss_bench::{norm, Cli};
-use tss_server::client::{self, GridRequest};
+use tss_server::client;
 
 /// Submits the grid to the sweep-server at `url`, streaming per-cell
 /// progress to stderr, and returns the final report (whose `to_json`
-/// bytes match a local run of the same axes).
+/// bytes match a local run of the same axes: both compile
+/// [`Cli::request`]).
 fn run_remote(cli: &Cli, url: &str) -> tss::GridReport {
-    let request = GridRequest {
-        name: "grid".into(),
-        scale: cli.scale,
-        protocols: cli.protocols.clone(),
-        topologies: cli.topologies.clone(),
-        nets: vec![cli.net],
-        workloads: cli.workloads.clone().unwrap_or_default(),
-        seeds: vec![cli.seed],
-        perturbation_ns: cli.perturbation_ns,
-        perturbation_runs: cli.seeds,
-    };
+    let request = cli.request("grid");
     eprintln!("submitting grid to {url}...");
     let mut cached = 0usize;
     let report = client::run_remote(url, &request, |event| {

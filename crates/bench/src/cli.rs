@@ -9,11 +9,18 @@ use std::path::PathBuf;
 
 use tss::experiment::{ExperimentGrid, GridReport};
 use tss::{NetworkModelSpec, ProtocolKind, TopologyKind};
+use tss_server::client::GridRequest;
 use tss_workloads::{paper, WorkloadSpec};
 
 use crate::{DEFAULT_PERTURBATION_NS, DEFAULT_SCALE, DEFAULT_SEEDS};
 
 /// Parsed command-line options.
+///
+/// The grid axes, seed and perturbation methodology reach a grid one
+/// way: [`Cli::request`] gathers them into the sweep-server's wire
+/// request, which `grid --remote` posts and [`Cli::grid`] compiles
+/// locally, so a remote and a local run of the same flags plan the same
+/// cells.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Workload scale factor (fraction of the paper's footprints).
@@ -321,27 +328,39 @@ impl Cli {
         paper::select(self.scale, self.workloads.as_deref().unwrap_or(&[]))
     }
 
-    /// An [`ExperimentGrid`] preloaded with this CLI's axes, seed and
-    /// perturbation methodology. Workloads default to the `--workloads`
-    /// selection; override with [`ExperimentGrid::workloads`] afterwards
-    /// for binaries with a fixed workload.
+    /// The [`GridRequest`] for this CLI's axes, seed and perturbation
+    /// methodology, named `name`: what `grid --remote` posts, and what
+    /// [`Cli::grid`] compiles.
+    pub fn request(&self, name: &str) -> GridRequest {
+        GridRequest {
+            name: name.into(),
+            scale: self.scale,
+            protocols: self.protocols.clone(),
+            topologies: self.topologies.clone(),
+            nets: vec![self.net],
+            workloads: self.workloads.clone().unwrap_or_default(),
+            seeds: vec![self.seed],
+            perturbation_ns: self.perturbation_ns,
+            perturbation_runs: self.seeds,
+        }
+    }
+
+    /// [`Cli::request`] compiled into its [`ExperimentGrid`], plus the
+    /// local-only knobs `--shard`, `--gt-origin` and `--resume`.
+    /// Workloads default to the `--workloads` selection; override with
+    /// [`ExperimentGrid::workloads`] afterwards for binaries with a fixed
+    /// workload.
     pub fn grid(&self, name: &str) -> ExperimentGrid {
-        let mut grid = ExperimentGrid::new(name)
-            .protocols(self.protocols.iter().copied())
-            .topologies(self.topologies.iter().copied())
-            .nets([self.net])
-            .workloads(
-                self.paper_workloads()
-                    .expect("names validated at parse time"),
-            )
-            .seeds([self.seed])
-            .perturbation(self.perturbation_ns, self.seeds)
+        let grid = self
+            .request(name)
+            .to_grid()
+            .expect("names validated at parse time")
             .shard(self.shard.0, self.shard.1)
             .gt_origin(self.gt_origin);
-        if let Some(dir) = &self.resume {
-            grid = grid.resume(dir);
+        match &self.resume {
+            Some(dir) => grid.resume(dir),
+            None => grid,
         }
-        grid
     }
 
     /// Runs a grid, reporting an invalid configuration (e.g. a degenerate
@@ -582,6 +601,34 @@ mod tests {
         assert_eq!(report.perturbation_ns, 5);
         assert_eq!(report.perturbation_runs, 2);
         assert_eq!(report.cells.len(), 2); // one workload x two topologies
+    }
+
+    /// Remote and local runs compile one value: the request `--remote`
+    /// posts, after its JSON round trip, plans exactly the header and
+    /// cells a local [`Cli::grid`] does.
+    #[test]
+    fn remote_request_plans_the_local_grid() {
+        for argv in [
+            &[][..],
+            &["--protocols", "ts-snoop,tardis"],
+            &["--topologies", "torus:8x8"],
+            &["--workloads", "oltp,barnes"],
+            &["--contention", "5"],
+            &["--seed", "9"],
+        ] {
+            let cli = parse(argv).unwrap();
+            let local = cli.grid("grid").plan().unwrap();
+            let wire = serde_json::to_string(&cli.request("grid")).unwrap();
+            let request: GridRequest = serde_json::from_str(&wire).unwrap();
+            assert_eq!(serde_json::to_string(&request).unwrap(), wire, "{argv:?}");
+            let remote = request.to_grid().unwrap().plan().unwrap();
+            let keys = |plan: &tss::experiment::GridPlan| -> Vec<_> {
+                plan.cells.iter().map(|c| c.key).collect()
+            };
+            assert!(!local.cells.is_empty(), "{argv:?}");
+            assert_eq!(keys(&remote), keys(&local), "{argv:?}");
+            assert_eq!(remote.header.to_json(), local.header.to_json(), "{argv:?}");
+        }
     }
 
     #[test]

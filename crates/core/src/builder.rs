@@ -69,6 +69,15 @@ impl SystemBuilder {
         Self::default()
     }
 
+    /// Starts from exactly `cfg`, driving nothing yet: the path the
+    /// [`System::run_traces`] and [`System::run_workload`] helpers take.
+    pub(crate) fn from_config(cfg: SystemConfig) -> Self {
+        SystemBuilder {
+            cfg,
+            drive: Drive::Idle,
+        }
+    }
+
     /// Selects the coherence protocol (default: TS-Snoop).
     pub fn protocol(mut self, protocol: ProtocolKind) -> Self {
         self.cfg.protocol = protocol;

@@ -73,9 +73,7 @@ impl CellStore {
         std::fs::create_dir_all(&dir)?;
         if let Ok(entries) = std::fs::read_dir(&dir) {
             for entry in entries.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if name.starts_with('.') && name.contains(".tmp-") {
+                if is_temp_file(&entry.file_name().to_string_lossy()) {
                     let _ = std::fs::remove_file(entry.path());
                 }
             }
@@ -115,22 +113,7 @@ impl CellStore {
     /// lease, or an embedded key that does not match the filename's.
     /// Corruption is never an error, just work to redo.
     pub fn load(&self, key: CellKey) -> Option<RunReport> {
-        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        let value: serde_json::Value = serde_json::from_str(&text).ok()?;
-        if value.get("schema") != Some(&serde_json::Value::U64(u64::from(SCHEMA_VERSION))) {
-            return None;
-        }
-        // The Tardis-style lease check: the entry must have been written
-        // by this code revision. (Entries written before the lease field
-        // existed fail it too — they invalidate once and heal on rewrite.)
-        if value.get("cell_rev") != Some(&serde_json::Value::U64(u64::from(CELL_REV))) {
-            return None;
-        }
-        let cell: RunReport = serde_json::from_value(value.get("cell")?).ok()?;
-        if cell.cell_key != Some(key) {
-            return None;
-        }
-        Some(cell)
+        read_entry(&self.entry_path(key), key).ok()
     }
 
     /// Writes `cell` under `key`, atomically: the entry is complete and
@@ -173,18 +156,12 @@ impl CellStore {
     /// With `purge`, stale and corrupt entries are deleted too. Files
     /// that are not store entries at all are left strictly alone.
     pub fn gc(&self, purge: bool) -> io::Result<GcReport> {
-        let mut report = GcReport {
-            live: 0,
-            stale: 0,
-            corrupt: 0,
-            tmp_swept: 0,
-            purged: 0,
-        };
+        let mut report = GcReport::default();
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
             let name = entry.file_name();
             let name = name.to_string_lossy().into_owned();
-            if name.starts_with('.') && name.contains(".tmp-") {
+            if is_temp_file(&name) {
                 // An orphan from a killed writer (a *live* writer's temp
                 // file may be swept too; its rename fails and that cell
                 // simply is not cached this round — same contract as
@@ -201,13 +178,13 @@ impl CellStore {
             else {
                 continue;
             };
-            let class = classify_entry(&entry.path(), key);
-            match class {
-                EntryClass::Live => report.live += 1,
-                EntryClass::Stale => report.stale += 1,
-                EntryClass::Corrupt => report.corrupt += 1,
+            let read = read_entry(&entry.path(), key);
+            match read {
+                Ok(_) => report.live += 1,
+                Err(Unusable::Stale) => report.stale += 1,
+                Err(Unusable::Corrupt) => report.corrupt += 1,
             }
-            if purge && class != EntryClass::Live {
+            if purge && read.is_err() {
                 std::fs::remove_file(entry.path())?;
                 report.purged += 1;
             }
@@ -216,43 +193,49 @@ impl CellStore {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EntryClass {
-    Live,
+/// Whether `name` is a writer's temp file ([`CellStore::store`] writes
+/// `.<key>.tmp-<pid>-<seq>` and renames it into place).
+fn is_temp_file(name: &str) -> bool {
+    name.starts_with('.') && name.contains(".tmp-")
+}
+
+/// Why an entry file is not live.
+enum Unusable {
+    /// Well-formed JSON whose schema or [`CELL_REV`] lease belongs to
+    /// another build.
     Stale,
+    /// Unreadable or unparsable, or the embedded key disagrees with the
+    /// filename's.
     Corrupt,
 }
 
-/// How one `<key>.json` file counts for [`CellStore::gc`].
-fn classify_entry(path: &Path, key: CellKey) -> EntryClass {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return EntryClass::Corrupt;
+/// Reads the entry file at `path`, named for `key`: its cell if the
+/// entry is live, else whether it is stale or corrupt. The one rule both
+/// [`CellStore::load`] (which serves only live entries) and
+/// [`CellStore::gc`] (which counts all three classes) apply. The schema
+/// and lease are judged before the cell and its key, so an entry from
+/// another build is stale even where this build could not parse its cell.
+fn read_entry(path: &Path, key: CellKey) -> Result<RunReport, Unusable> {
+    let text = std::fs::read_to_string(path).ok();
+    let Some(value) = text.and_then(|t| serde_json::from_str::<serde_json::Value>(&t).ok()) else {
+        return Err(Unusable::Corrupt);
     };
-    let Ok(value) = serde_json::from_str::<serde_json::Value>(&text) else {
-        return EntryClass::Corrupt;
-    };
-    let schema_ok = value.get("schema") == Some(&serde_json::Value::U64(u64::from(SCHEMA_VERSION)));
-    let lease_ok = value.get("cell_rev") == Some(&serde_json::Value::U64(u64::from(CELL_REV)));
-    if !schema_ok || !lease_ok {
-        // Well-formed JSON from another build: stale, not corrupt. (The
-        // distinction matters for diagnostics — lots of stale entries
-        // after a CELL_REV bump is expected; corrupt entries are not.)
-        return EntryClass::Stale;
+    let stamped = |field, want: u32| value.get(field) == Some(&serde_json::Value::U64(want.into()));
+    // The Tardis-style lease check: the entry must have been written by
+    // this code revision. (Entries written before the lease field existed
+    // fail it too — they invalidate once and heal on rewrite.) Lots of
+    // stale entries after a CELL_REV bump is expected; corrupt ones are not.
+    if !stamped("schema", SCHEMA_VERSION) || !stamped("cell_rev", CELL_REV) {
+        return Err(Unusable::Stale);
     }
-    let Some(cell_value) = value.get("cell") else {
-        return EntryClass::Corrupt;
-    };
-    let Ok(cell) = serde_json::from_value::<RunReport>(cell_value) else {
-        return EntryClass::Corrupt;
-    };
-    if cell.cell_key != Some(key) {
-        return EntryClass::Corrupt;
+    match value.get("cell").map(serde_json::from_value::<RunReport>) {
+        Some(Ok(cell)) if cell.cell_key == Some(key) => Ok(cell),
+        _ => Err(Unusable::Corrupt),
     }
-    EntryClass::Live
 }
 
 /// What [`CellStore::gc`] found (and, with `purge`, removed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct GcReport {
     /// Entries loadable by this build.
     pub live: usize,
@@ -457,6 +440,76 @@ mod tests {
         assert!(!store.entry_path(third_key).exists());
         assert!(store.load(key).is_some(), "live entry untouched");
         assert!(foreign.exists(), "non-entry files are not store property");
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    /// `load` and `gc` apply one validity rule: over every kind of entry,
+    /// `load` serves exactly the ones `gc` counts live. The stale entries
+    /// embed a key other than their filename's, so this also pins that
+    /// the schema and lease are judged before the key.
+    #[test]
+    fn load_serves_exactly_the_entries_gc_counts_live() {
+        let store = temp_store("one-rule");
+        let (key, cell) = sample_cell();
+        store.store(key, &cell).unwrap();
+        let text = std::fs::read_to_string(store.entry_path(key)).unwrap();
+        std::fs::remove_file(store.entry_path(key)).unwrap();
+        let restamp = |field: &str, from: u32, to: u32| {
+            let restamped = text.replace(
+                &format!("\"{field}\": {from}"),
+                &format!("\"{field}\": {to}"),
+            );
+            assert_ne!(restamped, text, "the envelope carries {field}");
+            restamped
+        };
+        let other = |i: u128| format!("{i:032x}").parse::<CellKey>().unwrap();
+        // (what, file content, filename key, gc's (live, stale, corrupt))
+        let entries = [
+            ("live", text.clone(), key, (1, 0, 0)),
+            (
+                "wrong schema",
+                restamp("schema", SCHEMA_VERSION, 99999),
+                other(1),
+                (0, 1, 0),
+            ),
+            (
+                "old cell_rev",
+                restamp("cell_rev", CELL_REV, 0),
+                other(2),
+                (0, 1, 0),
+            ),
+            (
+                "truncated",
+                text[..text.len() / 2].to_string(),
+                other(3),
+                (0, 0, 1),
+            ),
+            (
+                "no cell",
+                format!("{{\"schema\": {SCHEMA_VERSION}, \"cell_rev\": {CELL_REV}}}"),
+                other(4),
+                (0, 0, 1),
+            ),
+            ("key mismatch", text.clone(), other(5), (0, 0, 1)),
+        ];
+        let mut totals = (0, 0, 0);
+        for (what, content, at, class) in entries {
+            std::fs::write(store.entry_path(at), content).unwrap();
+            let gc = store.gc(false).unwrap();
+            let counted = (
+                gc.live - totals.0,
+                gc.stale - totals.1,
+                gc.corrupt - totals.2,
+            );
+            assert_eq!(counted, class, "{what}: gc's class");
+            assert_eq!(
+                store.load(at).is_some(),
+                class.0 == 1,
+                "{what}: load serves it iff gc counts it live"
+            );
+            totals = (gc.live, gc.stale, gc.corrupt);
+        }
+        assert_eq!(totals, (1, 2, 3));
         std::fs::remove_dir_all(store.dir()).ok();
     }
 

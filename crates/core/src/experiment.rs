@@ -292,46 +292,43 @@ pub struct GridReport {
 }
 
 impl GridReport {
+    /// The report of an empty grid — no axes, no cells, one unperturbed
+    /// run — named `name`: the one definition of a report header, whose
+    /// axes [`ExperimentGrid::plan`] fills in from the grid and
+    /// [`GridReport::from_cells`] from the cells.
+    fn header(name: String, shard: ShardSpec) -> GridReport {
+        GridReport {
+            schema: SCHEMA_VERSION,
+            name,
+            shard,
+            protocols: Vec::new(),
+            topologies: Vec::new(),
+            nets: Vec::new(),
+            workloads: Vec::new(),
+            seeds: Vec::new(),
+            perturbation_ns: 0,
+            perturbation_runs: 1,
+            cells: Vec::new(),
+        }
+    }
+
     /// Assembles a report from independently measured cells, deriving the
     /// axis echoes from the cells themselves (first-seen order).
     pub fn from_cells(name: impl Into<String>, cells: Vec<RunReport>) -> GridReport {
-        let mut protocols = Vec::new();
-        let mut topologies = Vec::new();
-        let mut nets = Vec::new();
-        let mut workloads = Vec::new();
-        let mut seeds = Vec::new();
+        let mut report = GridReport::header(name.into(), ShardSpec::FULL);
+        if let Some(c) = cells.first() {
+            report.perturbation_ns = c.perturbation_ns;
+            report.perturbation_runs = c.perturbation_runs;
+        }
         for c in &cells {
-            if !protocols.contains(&c.protocol) {
-                protocols.push(c.protocol);
-            }
-            if !topologies.contains(&c.topology) {
-                topologies.push(c.topology);
-            }
-            if !nets.contains(&c.net) {
-                nets.push(c.net);
-            }
-            if !workloads.contains(&c.workload) {
-                workloads.push(c.workload.clone());
-            }
-            if !seeds.contains(&c.seed) {
-                seeds.push(c.seed);
-            }
+            push_new(&mut report.protocols, c.protocol);
+            push_new(&mut report.topologies, c.topology);
+            push_new(&mut report.nets, c.net);
+            push_new(&mut report.workloads, c.workload.clone());
+            push_new(&mut report.seeds, c.seed);
         }
-        let perturbation_ns = cells.first().map_or(0, |c| c.perturbation_ns);
-        let perturbation_runs = cells.first().map_or(1, |c| c.perturbation_runs);
-        GridReport {
-            schema: SCHEMA_VERSION,
-            name: name.into(),
-            shard: ShardSpec::FULL,
-            protocols,
-            topologies,
-            nets,
-            workloads,
-            seeds,
-            perturbation_ns,
-            perturbation_runs,
-            cells,
-        }
+        report.cells = cells;
+        report
     }
 
     /// Whether this report covers its whole grid (the unsharded
@@ -509,26 +506,25 @@ impl GridReport {
             }
         }
 
-        let mut merged = GridReport {
-            schema: first.schema,
-            name: first.name.clone(),
+        // The merged report is the first part's header, unsharded, over
+        // every part's cells interleaved back into grid order. Provenance
+        // of the individual parts does not survive into it.
+        let n = parts.len();
+        let mut slices: Vec<_> = parts
+            .iter_mut()
+            .map(|p| std::mem::take(&mut p.cells).into_iter())
+            .collect();
+        let cells = (0..cell_count)
+            .map(|j| RunReport {
+                cached: false,
+                ..slices[j % n].next().expect("cell counts checked")
+            })
+            .collect();
+        let merged = GridReport {
             shard: ShardSpec::FULL,
-            protocols: first.protocols.clone(),
-            topologies: first.topologies.clone(),
-            nets: first.nets.clone(),
-            workloads: first.workloads.clone(),
-            seeds: first.seeds.clone(),
-            perturbation_ns: first.perturbation_ns,
-            perturbation_runs: first.perturbation_runs,
-            cells: Vec::with_capacity(cell_count),
+            cells,
+            ..parts.swap_remove(0)
         };
-        for j in 0..cell_count {
-            let mut cell = parts[j % parts.len()].cells[j / parts.len()].clone();
-            // The merged report is a fresh complete artifact; provenance
-            // of the individual parts does not survive into it.
-            cell.cached = false;
-            merged.cells.push(cell);
-        }
         // Defense in depth: the interleave above trusts the parts' cell
         // order; re-derive the grid order and check every echo.
         let mut j = 0;
@@ -565,6 +561,13 @@ impl GridReport {
             }
         }
         std::fs::write(path, self.to_json() + "\n")
+    }
+}
+
+/// Appends `value` to `axis` unless it is already there (first-seen order).
+fn push_new<T: PartialEq>(axis: &mut Vec<T>, value: T) {
+    if !axis.contains(&value) {
+        axis.push(value);
     }
 }
 
@@ -991,15 +994,16 @@ impl ExperimentGrid {
         }
 
         Ok(GridPlan {
-            name: self.name.clone(),
-            shard: self.shard,
-            protocols: self.protocols.clone(),
-            topologies: self.topologies.clone(),
-            nets: self.nets.clone(),
-            workloads: self.workloads.iter().map(|w| w.name.clone()).collect(),
-            seeds: self.seeds.clone(),
-            perturbation_ns: self.perturbation_ns,
-            perturbation_runs: self.perturbation_runs,
+            header: GridReport {
+                protocols: self.protocols.clone(),
+                topologies: self.topologies.clone(),
+                nets: self.nets.clone(),
+                workloads: self.workloads.iter().map(|w| w.name.clone()).collect(),
+                seeds: self.seeds.clone(),
+                perturbation_ns: self.perturbation_ns,
+                perturbation_runs: self.perturbation_runs,
+                ..GridReport::header(self.name.clone(), self.shard)
+            },
             cells,
         })
     }
@@ -1041,31 +1045,17 @@ pub struct CellPlan {
     pub runs: u64,
 }
 
-/// A validated, flattened grid: the axis echoes a [`GridReport`] carries
-/// plus one [`CellPlan`] per cell of this shard's slice, in deterministic
-/// grid order. Produced by [`ExperimentGrid::plan`]; consumed by the local
-/// run loop ([`GridPlan::execute`]) and by the sweep server, which feeds
-/// the cells of many plans into one shared queue.
+/// A validated, flattened grid: the header of the [`GridReport`] it
+/// produces plus one [`CellPlan`] per cell of this shard's slice, in
+/// deterministic grid order. Produced by [`ExperimentGrid::plan`];
+/// consumed by the local run loop ([`GridPlan::execute`]) and by the
+/// sweep server, which feeds the cells of many plans into one shared
+/// queue.
 #[derive(Debug, Clone)]
 pub struct GridPlan {
-    /// What produced this plan (binary or experiment name).
-    pub name: String,
-    /// Which slice of the grid the plan covers.
-    pub shard: ShardSpec,
-    /// Protocol axis, in run order.
-    pub protocols: Vec<ProtocolKind>,
-    /// Topology axis, in run order.
-    pub topologies: Vec<TopologyKind>,
-    /// Network-model axis, in run order.
-    pub nets: Vec<NetworkModelSpec>,
-    /// Workload axis (names), in run order.
-    pub workloads: Vec<String>,
-    /// Seed axis, in run order.
-    pub seeds: Vec<u64>,
-    /// §4.3 response-jitter bound (ns).
-    pub perturbation_ns: u64,
-    /// Perturbed runs per cell.
-    pub perturbation_runs: u64,
+    /// The report this plan's run produces, without its cells: name,
+    /// shard, every axis and the perturbation methodology.
+    pub header: GridReport,
     /// The cells of this shard's slice, in grid order.
     pub cells: Vec<CellPlan>,
 }
@@ -1117,17 +1107,8 @@ impl GridPlan {
     pub fn report(&self, cells: Vec<RunReport>) -> GridReport {
         assert_eq!(cells.len(), self.cells.len(), "one report per planned cell");
         GridReport {
-            schema: SCHEMA_VERSION,
-            name: self.name.clone(),
-            shard: self.shard,
-            protocols: self.protocols.clone(),
-            topologies: self.topologies.clone(),
-            nets: self.nets.clone(),
-            workloads: self.workloads.clone(),
-            seeds: self.seeds.clone(),
-            perturbation_ns: self.perturbation_ns,
-            perturbation_runs: self.perturbation_runs,
             cells,
+            ..self.header.clone()
         }
     }
 }

@@ -32,6 +32,7 @@ use tss_sim::{Duration, EventQueue, Time};
 use tss_workloads::{TraceItem, WorkloadSpec};
 
 use crate::address_net::{build_address_net, AddressNet};
+use crate::builder::SystemBuilder;
 use crate::config::{ProtocolKind, SystemConfig};
 use crate::cpu::Cpu;
 
@@ -188,28 +189,24 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if the trace count does not match the topology's node count,
-    /// if the system deadlocks, or (with verification on) if a coherence
-    /// invariant is violated.
+    /// Panics if the [`SystemBuilder`] rejects the configuration (more
+    /// traces than nodes, say), if the system deadlocks, or (with
+    /// verification on) if a coherence invariant is violated.
     pub fn run_traces(cfg: SystemConfig, traces: Vec<Vec<TraceItem>>) -> RunResult {
-        let boxed: Vec<Box<dyn Iterator<Item = TraceItem> + Send>> = traces
-            .into_iter()
-            .map(|t| Box::new(t.into_iter()) as Box<dyn Iterator<Item = TraceItem> + Send>)
-            .collect();
-        Self::new(cfg, boxed).run()
+        Self::build_and_run(SystemBuilder::from_config(cfg).traces(traces))
     }
 
     /// Builds a system and runs one of the synthetic workloads on every
-    /// CPU.
+    /// CPU. Panics as [`System::run_traces`] does.
     pub fn run_workload(cfg: SystemConfig, spec: &WorkloadSpec) -> RunResult {
-        let n = cfg.topology.build().num_nodes();
-        let seed = cfg.seed;
-        let streams: Vec<Box<dyn Iterator<Item = TraceItem> + Send>> = (0..n)
-            .map(|c| {
-                Box::new(spec.stream(c, n, seed)) as Box<dyn Iterator<Item = TraceItem> + Send>
-            })
-            .collect();
-        Self::new(cfg, streams).run()
+        Self::build_and_run(SystemBuilder::from_config(cfg).workload(spec.clone()))
+    }
+
+    fn build_and_run(builder: SystemBuilder) -> RunResult {
+        match builder.build() {
+            Ok(system) => system.run(),
+            Err(e) => panic!("invalid system configuration: {e}"),
+        }
     }
 
     /// Assembles the system. Traces may be shorter than the node count;
@@ -230,6 +227,10 @@ impl System {
             traces.push(Box::new(std::iter::empty()));
         }
 
+        let dir_timing = DirTiming {
+            d_mem: cfg.timing.d_mem,
+            d_cache: cfg.timing.d_cache,
+        };
         let protocol: Box<dyn Protocol + Send> = match cfg.protocol {
             ProtocolKind::TsSnoop => Box::new(TsSnoop::new(
                 n,
@@ -241,34 +242,17 @@ impl System {
                 },
                 cfg.verify,
             )),
-            ProtocolKind::DirClassic => Box::new(DirClassic::new(
-                n,
-                cfg.cache,
-                DirTiming {
-                    d_mem: cfg.timing.d_mem,
-                    d_cache: cfg.timing.d_cache,
-                },
-                cfg.verify,
-            )),
-            ProtocolKind::DirOpt => Box::new(DirOpt::new(
-                n,
-                cfg.cache,
-                DirTiming {
-                    d_mem: cfg.timing.d_mem,
-                    d_cache: cfg.timing.d_cache,
-                },
-                cfg.verify,
-            )),
+            ProtocolKind::DirClassic => {
+                Box::new(DirClassic::new(n, cfg.cache, dir_timing, cfg.verify))
+            }
+            ProtocolKind::DirOpt => Box::new(DirOpt::new(n, cfg.cache, dir_timing, cfg.verify)),
             // Lease timestamps start at the same origin as the network
             // guarantee times, so the --gt-origin rollover battery
             // stresses both counters at once.
             ProtocolKind::Tardis => Box::new(Tardis::new(
                 n,
                 cfg.cache,
-                DirTiming {
-                    d_mem: cfg.timing.d_mem,
-                    d_cache: cfg.timing.d_cache,
-                },
+                dir_timing,
                 cfg.verify,
                 tss_sim::Gt::from_raw(cfg.gt_origin),
             )),

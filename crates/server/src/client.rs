@@ -14,9 +14,11 @@ use tss_workloads::paper;
 use crate::http::{self, ChunkedReader, ResponseHead};
 
 /// A grid request on the wire: the same axes the shared bench CLI
-/// exposes, as JSON. The server compiles it with [`GridRequest::to_grid`]
-/// — the *same* construction path a local `Cli::grid` uses, which is what
-/// makes remote and local artifacts byte-identical.
+/// exposes, as JSON. The bench CLI builds one value (`Cli::request`);
+/// `grid --remote` posts it and the server compiles it with
+/// [`GridRequest::to_grid`], while a local `Cli::grid` compiles the same
+/// value itself — which is what makes remote and local artifacts
+/// byte-identical.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct GridRequest {
     /// Report name (use the submitting binary's name, e.g. `"grid"`, so
@@ -346,6 +348,6 @@ mod tests {
         request.workloads = vec!["barnes".into()];
         let plan = request.to_grid().unwrap().plan().unwrap();
         assert_eq!(plan.cells.len(), 6); // 3 protocols x 2 topologies
-        assert_eq!(plan.workloads, vec!["Barnes".to_string()]);
+        assert_eq!(plan.header.workloads, vec!["Barnes".to_string()]);
     }
 }

@@ -20,11 +20,11 @@
 //!
 //! | endpoint | what it does |
 //! |---|---|
-//! | `POST /v1/grids` | submit a grid request (JSON), get `{id, cells}`; store hits are answered here, never queued |
+//! | `POST /v1/grids` | submit a grid request (JSON), get `{id, cells}`; store hits are answered here, never queued; past [`service::MAX_LIVE_GRIDS`] unstreamed grids, evicts the oldest |
 //! | `GET /v1/grids/{id}` | stream NDJSON progress + the final report; single-use (404 once the stream has ended) |
 //! | `GET /v1/cells/{key}` | one cached cell; `ETag "<CELL_REV>-<key>"`, honors `If-None-Match` |
 //! | `GET /v1/healthz` | liveness |
-//! | `GET /v1/stats` | cells requested/executed/deduped/cache-hit, queue submitted (cells queued)/abandoned, live `grids` (posted, stream not ended) |
+//! | `GET /v1/stats` | cells requested/executed/deduped/cache-hit, queue submitted (cells queued)/abandoned, live `grids` (posted, stream not ended, at most [`service::MAX_LIVE_GRIDS`]) |
 //!
 //! The accept thread blocks in `accept()`; shutdown wakes it with one
 //! loopback connection, so no request waits on a poll period.

@@ -22,14 +22,15 @@
 //!   before simulating, which covers a store write racing the submit.
 //! * **Single-use streams**: a grid's job (its plan and every cell
 //!   result) is released when its stream ends, so the server holds only
-//!   the grids posted and not yet streamed.
+//!   the grids posted and not yet streamed — at most [`MAX_LIVE_GRIDS`]
+//!   of them: past that, a POST evicts the oldest posted grid.
 //! * **Graceful shutdown** ([`SweepServer::begin_shutdown`]): the
 //!   queue is abandoned — workers finish the cells they hold,
 //!   queued cells are dropped, streaming responses emit an `aborted`
 //!   event — and the store stays consistent because every write was
 //!   atomic anyway.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufReader};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -43,6 +44,12 @@ use tss::{CellKey, CellStore, RunReport};
 
 use crate::client::GridRequest;
 use crate::http::{self, Request, RequestError};
+
+/// The most grids the server holds between their POST and the end of
+/// their stream. A POST past the bound evicts the oldest posted grid (its
+/// id then answers 404), so grids posted but never streamed cannot pile
+/// up; a stream already running holds its own handle and finishes.
+pub const MAX_LIVE_GRIDS: usize = 1024;
 
 /// How the server binds and where it keeps its cells.
 #[derive(Debug, Clone)]
@@ -184,7 +191,8 @@ impl<T> TaskQueue<T> {
 /// One accepted grid request: its compiled plan plus, per planned cell,
 /// the slot that will (or already does) hold the result. Two positions
 /// whose cells share a key and are not store hits share one slot. Lives
-/// in `State::grids` from its POST until its stream ends.
+/// in `State::grids` from its POST until its stream ends or a newer POST
+/// evicts it.
 struct GridJob {
     plan: GridPlan,
     slots: Vec<Arc<CellSlot>>,
@@ -202,8 +210,9 @@ struct State {
     store: CellStore,
     queue: TaskQueue<CellTask>,
     inflight: Mutex<HashMap<CellKey, Arc<CellSlot>>>,
-    /// Grids posted whose stream has not ended yet.
-    grids: Mutex<HashMap<u64, Arc<GridJob>>>,
+    /// Grids posted whose stream has not ended yet, by id (ids rise with
+    /// every POST, so the first entry is the oldest).
+    grids: Mutex<BTreeMap<u64, Arc<GridJob>>>,
     next_grid: AtomicU64,
     stats: CellCounters,
     shutdown: AtomicBool,
@@ -234,7 +243,7 @@ impl SweepServer {
             store,
             queue: TaskQueue::new(),
             inflight: Mutex::new(HashMap::new()),
-            grids: Mutex::new(HashMap::new()),
+            grids: Mutex::new(BTreeMap::new()),
             next_grid: AtomicU64::new(0),
             stats: CellCounters::default(),
             shutdown: AtomicBool::new(false),
@@ -416,11 +425,11 @@ fn submit_grid(state: &Arc<State>, plan: GridPlan) -> (u64, Arc<GridJob>) {
     }
     let id = state.next_grid.fetch_add(1, Ordering::Relaxed) + 1;
     let job = Arc::new(GridJob { plan, slots });
-    state
-        .grids
-        .lock()
-        .expect("grids lock")
-        .insert(id, Arc::clone(&job));
+    let mut grids = state.grids.lock().expect("grids lock");
+    if grids.len() >= MAX_LIVE_GRIDS {
+        grids.pop_first();
+    }
+    grids.insert(id, Arc::clone(&job));
     (id, job)
 }
 
@@ -575,7 +584,10 @@ fn get_grid_stream(stream: TcpStream, state: &Arc<State>, id_text: &str) -> io::
     let start = serde_json::Value::Object(vec![
         ("event".into(), serde_json::Value::Str("start".into())),
         ("id".into(), serde_json::Value::U64(id)),
-        ("name".into(), serde_json::Value::Str(job.plan.name.clone())),
+        (
+            "name".into(),
+            serde_json::Value::Str(job.plan.header.name.clone()),
+        ),
         ("cells".into(), serde_json::Value::U64(total as u64)),
     ]);
     chunks.chunk(render_json_line(&start).as_bytes())?;
@@ -666,7 +678,8 @@ fn get_cell(
 
 /// `GET /v1/stats`: the cache counters, the queue's flow counts
 /// (`submitted` counts cells queued: neither store hits nor dedupes), and
-/// the number of live grids (posted, stream not yet ended).
+/// the number of live grids (posted, stream not yet ended, not evicted;
+/// at most [`MAX_LIVE_GRIDS`]).
 fn get_stats(mut stream: TcpStream, state: &Arc<State>) -> io::Result<()> {
     let (submitted, abandoned) = state.queue.counts();
     let cells = serde_json::Value::Object(vec![

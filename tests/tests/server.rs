@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use tss::experiment::ExperimentGrid;
 use tss::{NetworkModelSpec, ProtocolKind, TopologyKind};
 use tss_server::client::{self, GridRequest};
-use tss_server::service::{ServerConfig, SweepServer};
+use tss_server::service::{ServerConfig, SweepServer, MAX_LIVE_GRIDS};
 use tss_workloads::paper;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -75,6 +75,28 @@ fn live_grids(stats: &serde_json::Value) -> u64 {
     match stats.get("grids") {
         Some(serde_json::Value::U64(n)) => *n,
         other => panic!("stats.grids missing or non-numeric: {other:?}"),
+    }
+}
+
+/// Posts `request` without streaming it and returns the grid's id.
+fn post(url: &str, request: &GridRequest) -> u64 {
+    let body = serde_json::to_string(request).expect("request renders");
+    let mut stream = TcpStream::connect(url.trim_start_matches("http://")).expect("connect");
+    write!(
+        stream,
+        "POST /v1/grids HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("request write");
+    let mut reader = std::io::BufReader::new(stream);
+    let head = tss_server::http::read_response_head(&mut reader).expect("response head");
+    assert_eq!(head.status, 201);
+    let reply = tss_server::http::read_body(&mut reader, &head).expect("reply body");
+    let reply: serde_json::Value =
+        serde_json::from_str(&String::from_utf8_lossy(&reply)).expect("reply is JSON");
+    match reply.get("id") {
+        Some(serde_json::Value::U64(id)) => *id,
+        other => panic!("submit reply without an id: {other:?}"),
     }
 }
 
@@ -168,6 +190,31 @@ fn concurrent_identical_grids_execute_each_cell_exactly_once() {
     );
     assert_eq!(stat(&s, "cells", "cache_hits") - cached_before, 3);
     assert_eq!(live_grids(&s), 0);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A grid that is posted but never streamed is not held forever: past
+/// the bound, each POST evicts the oldest posted grid.
+#[test]
+fn grids_posted_but_never_streamed_are_bounded() {
+    let (server, dir) = server("grid-bound", 1);
+    let url = server.url();
+    let ids: Vec<u64> = (0..=MAX_LIVE_GRIDS)
+        .map(|_| post(&url, &request("server-bound")))
+        .collect();
+    assert_eq!(live_grids(&stats(&url)), MAX_LIVE_GRIDS as u64);
+
+    let oldest = format!("/v1/grids/{}", ids[0]);
+    let (head, _) = client::get(&url, &oldest, &[]).expect("probe");
+    assert_eq!(head.status, 404, "the oldest posted grid was evicted");
+    let newest = format!("/v1/grids/{}", ids[MAX_LIVE_GRIDS]);
+    let (head, body) = client::get(&url, &newest, &[]).expect("stream");
+    assert_eq!(head.status, 200);
+    let body = String::from_utf8_lossy(&body);
+    assert!(body.contains("\"event\":\"report\""), "{body}");
+    assert_eq!(live_grids(&stats(&url)), MAX_LIVE_GRIDS as u64 - 1);
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
