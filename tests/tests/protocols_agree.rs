@@ -202,7 +202,8 @@ fn eviction_spec() -> WorkloadSpec {
 /// Pins every engine's full run statistics by digest: all four
 /// protocols on both 16-node topologies over the fast address net, plus
 /// TS-Snoop on the contended detailed token net (the directory and
-/// Tardis engines never touch the address net). Any change to what an
+/// Tardis engines never touch the address net), plus TS-Snoop on 9×9 and
+/// 16×16 tori, whose node sets span more than one 64-bit word. Any change to what an
 /// engine does — a hit counted differently, a writeback sent at another
 /// instant, one message more or less — moves a digest. Unlike
 /// `results/` and the pin fixtures, this covers Tardis.
@@ -214,6 +215,10 @@ fn engine_stats_match_pinned_digests() {
     use TopologyKind::{Butterfly16, Torus4x4};
     let fast = NetworkModelSpec::Fast;
     let detailed = NetworkModelSpec::detailed(5);
+    let torus = |side| TopologyKind::Torus {
+        width: side,
+        height: side,
+    };
     let cells = [
         (
             TsSnoop,
@@ -260,6 +265,10 @@ fn engine_stats_match_pinned_digests() {
             detailed,
             "6d3ffa1b24c21a369b0713afcd54b0db",
         ),
+        // Node sets wider than one 64-bit word: 81 nodes (two words) and
+        // 256 nodes (four words).
+        (TsSnoop, torus(9), fast, "b350696c4d9b90569cbc856c7e1fa6b1"),
+        (TsSnoop, torus(16), fast, "be239a99f2ebf0cc8de40e2a5b2fcae0"),
     ];
     let mut moved = Vec::new();
     for (protocol, topology, net, want) in cells {
