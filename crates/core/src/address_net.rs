@@ -19,12 +19,24 @@
 //!
 //! 1. [`AddressNet::inject`] broadcasts a payload and returns a **poll
 //!    hint** — the earliest instant at which draining may make progress;
-//! 2. [`AddressNet::drain_into`] advances the model to `now` and appends
-//!    every endpoint copy whose ordering instant has been reached to a
-//!    caller-owned (and caller-reused) buffer;
+//! 2. [`AddressNet::drain_for`] advances the model to `now`, asks the
+//!    caller's target query once for each broadcast that became ready,
+//!    and appends the endpoint copies the query named, whose ordering
+//!    instants have been reached, to a caller-owned (and caller-reused)
+//!    buffer;
 //! 3. [`AddressNet::next_ready`] reports when to poll again (`None` once
 //!    nothing is pending, which lets the caller's event loop quiesce even
 //!    though the detailed model's token wave never stops).
+//!
+//! The target query lets a broadcast cost its stakeholders rather than
+//! every endpoint: [`crate::System`] passes the coherence protocol's
+//! `Protocol::snoop_targets`, which names the endpoints whose snoop can
+//! act (for TS-Snoop, the nodes with a stake in the block). Every query is
+//! answered before the caller dispatches any copy of the drain, so it
+//! stays exact only if no endpoint gains a stake while the drain's copies
+//! are dispatched — true of every protocol here, since a node gains a
+//! stake only by issuing a miss, never in response to a snoop.
+//! [`AddressNet::drain_into`] is the query that keeps every endpoint.
 //!
 //! The fast model's hints are exact (the closed form knows each ordering
 //! instant at injection); the detailed model's hints walk the simulation
@@ -58,7 +70,7 @@
 //!     net.inject(Time::from_ns(40), NodeId(1), "GETS A");
 //!     let mut out = Vec::new();
 //!     while let Some(at) = net.next_ready() {
-//!         net.drain_into(at, &mut out);
+//!         net.drain_for(at, &mut |_, _| {}, &mut out); // every endpoint
 //!     }
 //!     out.iter().map(|d| d.ordered_at).collect()
 //! }
@@ -81,7 +93,8 @@
 use std::sync::Arc;
 
 use tss_net::{
-    DetailedNet, DetailedNetConfig, Fabric, FastOrderedNet, NodeId, OrderedNetTiming, TrafficLedger,
+    DetailedNet, DetailedNetConfig, Fabric, FastOrderedNet, NodeId, NodeSet, OrderedNetTiming,
+    TrafficLedger,
 };
 use tss_sim::{Gt, Time};
 
@@ -101,11 +114,29 @@ pub trait AddressNet<P>: Send {
     fn inject(&mut self, now: Time, src: NodeId, payload: P) -> Time;
 
     /// Advances the model to `now` (non-decreasing across calls, and at
-    /// least as late as every prior `inject`) and appends all endpoint
-    /// copies whose ordering instants have been reached to `out`, in the
-    /// total order within each endpoint. Appending into a caller-owned
-    /// buffer lets the event loop reuse one allocation across every poll.
-    fn drain_into(&mut self, now: Time, out: &mut Vec<AddrDelivery<P>>);
+    /// least as late as every prior `inject`) and appends to `out` the
+    /// endpoint copies whose ordering instants have been reached, in the
+    /// total order within each endpoint, for the endpoints `targets`
+    /// names. `targets` is asked once per broadcast with copies in this
+    /// drain, before the drain returns: it receives the payload and a set
+    /// holding every endpoint, and removes the endpoints that need no
+    /// copy. The result is exactly the full drain's copies filtered by
+    /// the query, in the same order. Appending into a caller-owned buffer
+    /// lets the event loop reuse one allocation across every poll.
+    fn drain_for(
+        &mut self,
+        now: Time,
+        targets: &mut dyn FnMut(&P, &mut NodeSet),
+        out: &mut Vec<AddrDelivery<P>>,
+    );
+
+    /// [`AddressNet::drain_for`] for every endpoint. Kept only because the
+    /// benchmark package calls it (`perfbench/src/mirror.rs`), which
+    /// changes only together with the benchmark definition; delete it
+    /// then.
+    fn drain_into(&mut self, now: Time, out: &mut Vec<AddrDelivery<P>>) {
+        self.drain_for(now, &mut |_, _| {}, out);
+    }
 
     /// When to poll [`AddressNet::drain_into`] next: `Some` while any
     /// endpoint copy is still pending, `None` once quiescent. Callers
@@ -132,8 +163,13 @@ impl<P: Send + Sync> AddressNet<P> for FastOrderedNet<P> {
         FastOrderedNet::inject(self, now, src, payload)
     }
 
-    fn drain_into(&mut self, now: Time, out: &mut Vec<AddrDelivery<P>>) {
-        FastOrderedNet::drain_into(self, now, out);
+    fn drain_for(
+        &mut self,
+        now: Time,
+        targets: &mut dyn FnMut(&P, &mut NodeSet),
+        out: &mut Vec<AddrDelivery<P>>,
+    ) {
+        FastOrderedNet::drain_for(self, now, targets, out);
     }
 
     fn next_ready(&self) -> Option<Time> {
@@ -157,8 +193,13 @@ impl<P: Send + Sync + 'static> AddressNet<P> for DetailedNet<P> {
         self.next_event_at().expect("token circulation never stops")
     }
 
-    fn drain_into(&mut self, now: Time, out: &mut Vec<AddrDelivery<P>>) {
-        DetailedNet::drain_into(self, now, out);
+    fn drain_for(
+        &mut self,
+        now: Time,
+        targets: &mut dyn FnMut(&P, &mut NodeSet),
+        out: &mut Vec<AddrDelivery<P>>,
+    ) {
+        DetailedNet::drain_for(self, now, targets, out);
     }
 
     fn next_ready(&self) -> Option<Time> {
@@ -318,6 +359,119 @@ mod tests {
         while net.next_ready().is_some() {
             let at = net.next_ready().unwrap();
             net.drain_into(at, &mut sink);
+        }
+    }
+
+    /// A fixed target query: every fourth node by a payload-dependent
+    /// offset, and no node at all for every eighth payload.
+    fn fixed_query(payload: &u32, targets: &mut NodeSet) {
+        let keep: Vec<NodeId> = targets
+            .iter()
+            .filter(|n| *payload & 7 != 0 && (n.0 as u32 ^ *payload) & 3 == 0)
+            .collect();
+        targets.clear();
+        for n in keep {
+            targets.insert(n);
+        }
+    }
+
+    type Copy = (u16, u16, u64, Gt, Time, Time, u32);
+
+    fn copy(d: &AddrDelivery<u32>) -> Copy {
+        (
+            d.dest.0,
+            d.src.0,
+            d.seq,
+            d.ot,
+            d.arrival,
+            d.ordered_at,
+            *d.payload,
+        )
+    }
+
+    /// Drives two copies of one net through the same bursty injection
+    /// schedule, polling both exactly as `System` does: one drains every
+    /// copy, the other only those `fixed_query` names. Each targeted
+    /// drain must be the full drain filtered by the query, in order.
+    fn targeted_drain_filters_the_full_drain(make: impl Fn() -> Box<dyn AddressNet<u32>>) {
+        let (mut full, mut targeted) = (make(), make());
+        let n = 16;
+        let mut payload = 0u32;
+        let (mut polls, mut multi) = (0, 0);
+        let (mut all_copies, mut out_full, mut out_targeted) = (0, Vec::new(), Vec::new());
+        // Twelve bursts of one to four broadcasts, then drain the rest.
+        for burst in 0..=12u64 {
+            let now = Time::from_ns(40 + 37 * burst);
+            for src in 0..(1 + burst % 4) * u64::from(burst < 12) {
+                payload += 1;
+                // Pairs share a source, so one drain can order two
+                // broadcasts of one source.
+                let src = NodeId(((burst * 5 + src / 2 * 3) % n) as u16);
+                full.inject(now, src, payload);
+                targeted.inject(now, src, payload);
+            }
+            let horizon = now + Duration::from_ns(if burst < 12 { 37 } else { 1 << 30 });
+            while let Some(at) = full.next_ready().filter(|&at| at < horizon) {
+                assert_eq!(targeted.next_ready(), Some(at));
+                full.drain_into(at, &mut out_full);
+                targeted.drain_for(at, &mut fixed_query, &mut out_targeted);
+                let broadcasts: std::collections::BTreeSet<u32> =
+                    out_full.iter().map(|d| *d.payload).collect();
+                multi += usize::from(broadcasts.len() > 1);
+                polls += 1;
+                all_copies += out_full.len();
+                let want: Vec<Copy> = out_full
+                    .iter()
+                    .filter(|d| {
+                        let mut set = NodeSet::all(n as usize);
+                        fixed_query(&d.payload, &mut set);
+                        set.contains(d.dest)
+                    })
+                    .map(copy)
+                    .collect();
+                let got: Vec<Copy> = out_targeted.iter().map(copy).collect();
+                assert_eq!(got, want, "poll at {at:?}");
+                out_full.clear();
+                out_targeted.clear();
+            }
+        }
+        assert_eq!(
+            all_copies,
+            payload as usize * n as usize,
+            "every copy drained"
+        );
+        assert!(
+            polls > 0 && multi > 0,
+            "some drains order several broadcasts"
+        );
+    }
+
+    #[test]
+    fn targeted_fast_drains_filter_the_full_drain() {
+        for fabric in [Fabric::butterfly16(), Fabric::torus4x4()] {
+            let fabric = Arc::new(fabric);
+            targeted_drain_filters_the_full_drain(|| {
+                Box::new(FastOrderedNet::new(
+                    Arc::clone(&fabric),
+                    OrderedNetTiming::paper_default(),
+                ))
+            });
+        }
+    }
+
+    #[test]
+    fn targeted_detailed_drains_filter_the_full_drain() {
+        for fabric in [Fabric::butterfly16(), Fabric::torus4x4()] {
+            let fabric = Arc::new(fabric);
+            targeted_drain_filters_the_full_drain(|| {
+                Box::new(DetailedNet::new(
+                    Arc::clone(&fabric),
+                    DetailedNetConfig {
+                        link_occupancy: Duration::from_ns(5),
+                        ..DetailedNetConfig::default()
+                    },
+                ))
+            });
         }
     }
 

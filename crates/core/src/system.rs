@@ -17,6 +17,14 @@
 //! the same way: broadcasts return a poll hint, and a single-event poll
 //! chain (`schedule_addr_poll`) drains ordered transactions as their
 //! instants arrive.
+//!
+//! A drain builds and dispatches a broadcast's copies only for the nodes
+//! the protocol's `snoop_targets` names — for TS-Snoop, the block's
+//! stakeholders, the requester and the home — because a snoop anywhere
+//! else changes nothing. Each query is answered before any copy of the
+//! drain is dispatched; that is exact because a node gains a stake only
+//! by issuing a miss (an `Issue` event), never while a drain's snoops are
+//! being handled.
 
 use std::sync::Arc;
 
@@ -345,7 +353,12 @@ impl System {
                         self.addr_poll_at = None;
                     }
                     let addr = self.addr.as_mut().expect("drain without snooping");
-                    addr.drain_into(now, &mut snoops);
+                    let protocol = &self.protocol;
+                    addr.drain_for(
+                        now,
+                        &mut |txn, targets| protocol.snoop_targets(txn, targets),
+                        &mut snoops,
+                    );
                     for d in snoops.drain(..) {
                         self.protocol.handle(
                             now,

@@ -19,9 +19,11 @@
 //! The "augmented priority queue" of §2.2 is still real — a priority
 //! queue keyed by `(OT, source, sequence)` — but since every endpoint of
 //! the unloaded model holds an identical queue, the implementation keeps
-//! **one** shared queue with a single entry per broadcast and derives the
-//! N endpoint copies (per-destination arrival times included) at drain
-//! time. Injection is O(log pending) instead of O(N log pending), and the
+//! **one** shared queue with a single entry per broadcast and builds the
+//! endpoint copies (per-destination arrival times included) at drain
+//! time — only for the endpoints the caller's target query names
+//! ([`FastOrderedNet::drain_for`]), every endpoint by default.
+//! Injection is O(log pending) instead of O(N log pending), and the
 //! established total order stays explicit and testable. The detailed token-passing
 //! network ([`DetailedNet`](crate::DetailedNet)) produces the same total
 //! order and the same ordering instants when unloaded, offset by exactly
@@ -46,7 +48,7 @@ use std::sync::Arc;
 
 use tss_sim::{Duration, Gt, GtKey, Time};
 
-use crate::ids::NodeId;
+use crate::ids::{NodeId, NodeSet};
 use crate::topology::Fabric;
 use crate::traffic::{MsgClass, TrafficLedger};
 
@@ -231,6 +233,14 @@ pub struct FastOrderedNet<P> {
     pending: BinaryHeap<Reverse<Keyed<Pending<P>>>>,
     /// Reusable scratch for the broadcasts popped by one drain.
     ready: Vec<Keyed<Pending<P>>>,
+    /// The target set of each `ready` broadcast (reused across drains;
+    /// may hold more sets than `ready` has entries).
+    targets: Vec<NodeSet>,
+    /// Every endpoint: what each target query starts from.
+    all: NodeSet,
+    /// The union of one drain's target sets: the endpoints that get at
+    /// least one copy.
+    union: NodeSet,
     seq: Vec<u64>,
     plane_rr: Vec<u32>,
     ledger: TrafficLedger,
@@ -252,6 +262,9 @@ impl<P> FastOrderedNet<P> {
             timing,
             pending: BinaryHeap::new(),
             ready: Vec::new(),
+            targets: Vec::new(),
+            all: NodeSet::all(n),
+            union: NodeSet::new(n),
             seq: vec![0; n],
             plane_rr: vec![0; n],
             ledger,
@@ -327,11 +340,28 @@ impl<P> FastOrderedNet<P> {
 
     /// Appends to `out`, in the established total order, every endpoint
     /// copy of each transaction whose ordering time has been reached at
-    /// `now`.
-    ///
-    /// Deliveries are grouped per endpoint; within an endpoint they follow
-    /// the `(OT, source, sequence)` total order exactly.
+    /// `now`: [`FastOrderedNet::drain_for`] with a query that keeps every
+    /// endpoint.
     pub fn drain_into(&mut self, now: Time, out: &mut Vec<Delivery<P>>) {
+        self.drain_for(now, |_, _| {}, out);
+    }
+
+    /// Appends to `out` the copies of each transaction whose ordering time
+    /// has been reached at `now`, for the endpoints `targets` names.
+    ///
+    /// `targets` is asked once per ready broadcast, before any copy is
+    /// built: it receives the payload and a set holding every endpoint,
+    /// and removes the endpoints that need no copy. Deliveries are
+    /// grouped per endpoint in increasing id order; within an endpoint
+    /// they follow the `(OT, source, sequence)` total order exactly. The
+    /// result is the full drain's copies filtered by the query, in the
+    /// same order.
+    pub fn drain_for(
+        &mut self,
+        now: Time,
+        mut targets: impl FnMut(&P, &mut NodeSet),
+        out: &mut Vec<Delivery<P>>,
+    ) {
         debug_assert!(self.ready.is_empty());
         while let Some(Reverse(top)) = self.pending.peek() {
             if self.ordered_at_of(top.key.gt()) > now {
@@ -343,17 +373,27 @@ impl<P> FastOrderedNet<P> {
         if self.ready.is_empty() {
             return;
         }
-        let n = self.fabric.num_nodes();
-        out.reserve(self.ready.len() * n);
-        for dest in 0..n {
-            for &Keyed { key, value: ref p } in &self.ready {
+        if self.targets.len() < self.ready.len() {
+            self.targets.resize(self.ready.len(), self.all.clone());
+        }
+        self.union.clear();
+        for (p, set) in self.ready.iter().zip(&mut self.targets) {
+            set.copy_from(&self.all);
+            targets(&p.value.payload, set);
+            self.union.union_with(set);
+        }
+        for dest in self.union.iter() {
+            for (&Keyed { key, value: ref p }, set) in self.ready.iter().zip(&self.targets) {
+                if !set.contains(dest) {
+                    continue;
+                }
                 let src = NodeId(key.src());
                 let arrival =
-                    p.injected_at + Duration::from_ns(self.arrival_ns(p.plane, src, dest));
+                    p.injected_at + Duration::from_ns(self.arrival_ns(p.plane, src, dest.index()));
                 let ordered_at = self.ordered_at_of(key.gt());
                 debug_assert!(arrival <= ordered_at);
                 out.push(Delivery {
-                    dest: NodeId(dest as u16),
+                    dest,
                     src,
                     seq: key.seq(),
                     ot: key.gt(),

@@ -60,7 +60,7 @@ mod traffic;
 mod unicast;
 
 pub use fast::{Delivery, FastOrderedNet, HopTiming, OrderedNetTiming};
-pub use ids::{LinkId, NodeId, Vertex};
+pub use ids::{LinkId, NodeId, NodeSet, Vertex};
 pub use token::{DetailedNet, DetailedNetConfig, DetailedNetStats, SwitchCore};
 pub use topology::{BroadcastTree, Fabric, FabricKind, Link, TreeEdge};
 pub use traffic::{MsgClass, TrafficLedger, MSG_CLASSES};

@@ -38,7 +38,7 @@ use tss_sim::stats::LatencyStat;
 use tss_sim::{Duration, EventQueue, Gt, GtKey, Time};
 
 use crate::fast::{Delivery, Keyed};
-use crate::ids::{LinkId, NodeId, Vertex};
+use crate::ids::{LinkId, NodeId, NodeSet, Vertex};
 use crate::topology::Fabric;
 use crate::traffic::{MsgClass, TrafficLedger};
 
@@ -259,6 +259,11 @@ pub struct DetailedNet<P> {
     /// Copies past the min-GT gate, each stamped with the instant the gate
     /// opened, awaiting [`DetailedNet::drain_into`].
     released: Vec<Delivery<P>>,
+    /// One drain's target sets by broadcast `(source, sequence)`; reused
+    /// across drains, so it may hold more entries than the drain asked.
+    queried: Vec<((NodeId, u64), NodeSet)>,
+    /// Every endpoint: what each target query starts from.
+    all: NodeSet,
     /// Per-source injection count: the next broadcast's sequence number,
     /// which also picks its plane round-robin.
     next_seq: Vec<u64>,
@@ -345,6 +350,8 @@ impl<P> DetailedNet<P> {
             reorder_parked: 0,
             merge_pending: 0,
             released: Vec::new(),
+            queried: Vec::new(),
+            all: NodeSet::all(num_nodes),
             next_seq: vec![0; num_nodes],
             events: EventQueue::new(),
             flights: Slab::new(),
@@ -380,8 +387,45 @@ impl<P> DetailedNet<P> {
     /// instant its min-GT gate opened — the moment a coherence controller
     /// may process it, even if the caller drains later than that.
     pub fn drain_into(&mut self, now: Time, out: &mut Vec<Delivery<P>>) {
+        self.drain_for(now, |_, _| {}, out);
+    }
+
+    /// [`DetailedNet::drain_into`], keeping only the copies whose
+    /// endpoint `targets` names. The query is asked once for each
+    /// broadcast with copies in this drain, when its first copy is met:
+    /// it receives the payload and a set holding every endpoint, and
+    /// removes the endpoints that need no copy. The result is the full
+    /// drain's copies filtered by the query, in the same order. Every
+    /// copy is still simulated hop by hop; only its release is filtered.
+    pub fn drain_for(
+        &mut self,
+        now: Time,
+        mut targets: impl FnMut(&P, &mut NodeSet),
+        out: &mut Vec<Delivery<P>>,
+    ) {
         self.run_until(now);
-        out.append(&mut self.released);
+        let mut asked = 0;
+        for d in self.released.drain(..) {
+            let key = (d.src, d.seq);
+            let i = match self.queried[..asked].iter().position(|(k, _)| *k == key) {
+                Some(i) => i,
+                None => {
+                    let i = asked;
+                    asked += 1;
+                    if i == self.queried.len() {
+                        self.queried.push((key, self.all.clone()));
+                    }
+                    let (k, set) = &mut self.queried[i];
+                    *k = key;
+                    set.copy_from(&self.all);
+                    targets(&d.payload, set);
+                    i
+                }
+            };
+            if self.queried[i].1.contains(d.dest) {
+                out.push(d);
+            }
+        }
     }
 
     /// The guarantee time `node` may trust: the minimum over its per-plane

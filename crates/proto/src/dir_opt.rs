@@ -362,7 +362,8 @@ impl DirOpt {
         out: &mut Vec<ProtoAction>,
     ) {
         let DirNode { cache, wb, .. } = &mut self.nodes[me.index()];
-        if let Some(v) = self.retire.fill(cache, wb, block, state, value) {
+        let victim = self.retire.fill(cache, wb, block, state, value);
+        if let Some(v) = victim.filter(|v| v.dirty) {
             put_m(out, me, self.n, v);
         }
     }

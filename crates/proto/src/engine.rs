@@ -53,6 +53,11 @@ impl WbLog {
         Some(back.value)
     }
 
+    /// Whether any writeback of `block` is outstanding.
+    pub(crate) fn contains(&self, block: Block) -> bool {
+        self.0.contains_key(&block)
+    }
+
     /// Resolves (removes and returns) the oldest writeback of `block`:
     /// its PutAck arrived, or its own PutM was ordered.
     pub(crate) fn resolve_oldest(&mut self, block: Block) -> WbEntry {
@@ -152,9 +157,9 @@ impl Retire {
         }
     }
 
-    /// Fills `block` into `cache`. A dirty victim is logged in `wb` as
-    /// an owned (MiA) writeback, counted, and returned for the engine to
-    /// send its PutM.
+    /// Fills `block` into `cache` and returns the victim, if any. A dirty
+    /// victim is logged in `wb` as an owned (MiA) writeback and counted,
+    /// for the engine to send its PutM; a clean one is dropped silently.
     pub(crate) fn fill(
         &mut self,
         cache: &mut L2Cache,
@@ -163,7 +168,10 @@ impl Retire {
         state: CacheState,
         value: u64,
     ) -> Option<Victim> {
-        let victim = cache.fill(block, state, value, None).filter(|v| v.dirty)?;
+        let victim = cache.fill(block, state, value, None)?;
+        if !victim.dirty {
+            return Some(victim);
+        }
         self.stats.writebacks += 1;
         wb.0.entry(victim.block).or_default().push_back(WbEntry {
             state: WbState::MiA,

@@ -22,12 +22,22 @@
 //! so it queues intervening snoops and services the first of them after its
 //! fill (subsequent ones are, by the same total order, someone else's
 //! responsibility — see `drain_one_queued`).
+//!
+//! Each block's home state also records its **stakeholders**: the nodes
+//! that may hold a line, an outstanding writeback or an MSHR for it. A
+//! node's bit is set when it issues a miss on the block — the only way to
+//! gain any of the three — and cleared once all three are gone. A snoop at
+//! a node that is none of these, nor the requester or the home, changes
+//! nothing, so `Protocol::snoop_targets` names only the stakeholders and
+//! the simulator skips the rest. This is simulator bookkeeping, not a
+//! modelled snoop filter: the hardware still snoops everywhere, and no
+//! timing depends on the set.
 
 use std::collections::VecDeque;
 
 use tss_sim::hash::FastMap;
 
-use tss_net::NodeId;
+use tss_net::{NodeId, NodeSet};
 use tss_sim::{Duration, Time};
 
 use crate::cache::{CacheConfig, CacheState, L2Cache};
@@ -141,37 +151,47 @@ struct MemBlock {
     owned: bool,
     value: u64,
     queue: VecDeque<MemEntry>,
-    /// Writebacks that arrived before their slot materialised (their
-    /// triggering request is still queued as a `Req`).
-    early_wbs: Vec<(WbKey, Option<u64>)>,
+    /// The block's stakeholders (see the module docs): a superset of the
+    /// nodes holding a line, a writeback or an MSHR for it.
+    stake: NodeSet,
 }
 
-impl Default for MemBlock {
-    fn default() -> Self {
+impl MemBlock {
+    /// A block memory owns, with no stakeholder among `n` nodes.
+    fn new(n: usize) -> Self {
         MemBlock {
             owned: true,
             value: 0,
             queue: VecDeque::new(),
-            early_wbs: Vec::new(),
+            stake: NodeSet::new(n),
         }
     }
 }
 
-impl MemBlock {
-    /// Opens a writeback slot, consuming a matching early-arrived
-    /// writeback if one is already stashed. The data network is
-    /// unordered, so when the address network runs contended the home's
-    /// guarantee time can lag the writer's and the `WbData`/`WbNoData`
-    /// physically beats the snoop of its own transaction; every site that
-    /// opens a slot must check the stash or the log stalls forever.
-    fn await_wb(&mut self, key: WbKey) -> MemEntry {
-        let resolved = self
-            .early_wbs
-            .iter()
-            .position(|(k, _)| *k == key)
-            .map(|i| self.early_wbs.remove(i).1);
-        MemEntry::AwaitWb { key, resolved }
+/// Writebacks that arrived before their slot materialised (their
+/// triggering request is still queued as a `Req`), per block. Only a
+/// contended address network produces them, so they live beside the
+/// per-block state rather than in it; a block's entry is removed once
+/// empty.
+type EarlyWbs = FastMap<Block, Vec<(WbKey, Option<u64>)>>;
+
+/// Opens a writeback slot for `key` on `block`, consuming a matching
+/// early-arrived writeback if one is already stashed. The data network is
+/// unordered, so when the address network runs contended the home's
+/// guarantee time can lag the writer's and the `WbData`/`WbNoData`
+/// physically beats the snoop of its own transaction; every site that
+/// opens a slot must check the stash or the log stalls forever.
+fn await_wb(early_wbs: &mut EarlyWbs, block: Block, key: WbKey) -> MemEntry {
+    let mut resolved = None;
+    if let Some(stash) = early_wbs.get_mut(&block) {
+        if let Some(i) = stash.iter().position(|(k, _)| *k == key) {
+            resolved = Some(stash.remove(i).1);
+            if stash.is_empty() {
+                early_wbs.remove(&block);
+            }
+        }
     }
+    MemEntry::AwaitWb { key, resolved }
 }
 
 /// The TS-Snoop protocol engine (all nodes' cache + memory controllers).
@@ -194,8 +214,11 @@ pub struct TsSnoop {
     n: usize,
     nodes: Vec<SnoopNode>,
     mem: FastMap<Block, MemBlock>,
+    early_wbs: EarlyWbs,
     timing: SnoopTiming,
     retire: Retire,
+    /// Check the stakeholder invariant on every target query.
+    verify: bool,
 }
 
 impl TsSnoop {
@@ -212,8 +235,34 @@ impl TsSnoop {
                 })
                 .collect(),
             mem: FastMap::default(),
+            early_wbs: EarlyWbs::default(),
             timing,
             retire: Retire::new(verify),
+            verify,
+        }
+    }
+
+    /// The home state of `block` among `n` nodes, created on first use.
+    fn mem_block(mem: &mut FastMap<Block, MemBlock>, n: usize, block: Block) -> &mut MemBlock {
+        mem.entry(block).or_insert_with(|| MemBlock::new(n))
+    }
+
+    /// Whether `node` holds a line, an outstanding writeback or an MSHR
+    /// for `block`.
+    fn has_stake(&self, node: NodeId, block: Block) -> bool {
+        let SnoopNode { cache, mshr, wb } = &self.nodes[node.index()];
+        cache.state(block).is_some()
+            || wb.contains(block)
+            || mshr.as_ref().is_some_and(|m| m.block == block)
+    }
+
+    /// Clears `node`'s stakeholder bit on `block` if it no longer holds a
+    /// line, a writeback or an MSHR for it.
+    fn release(&mut self, node: NodeId, block: Block) {
+        if !self.has_stake(node, block) {
+            if let Some(mb) = self.mem.get_mut(&block) {
+                mb.stake.remove(node);
+            }
         }
     }
 
@@ -228,7 +277,7 @@ impl TsSnoop {
     }
 
     /// Fill the requesting node's cache and broadcast the PutM of a dirty
-    /// victim.
+    /// victim; a clean victim may end the node's stake in its block.
     fn fill(
         &mut self,
         node: NodeId,
@@ -238,15 +287,17 @@ impl TsSnoop {
         out: &mut Vec<ProtoAction>,
     ) {
         let SnoopNode { cache, wb, .. } = &mut self.nodes[node.index()];
-        if let Some(v) = self.retire.fill(cache, wb, block, state, value) {
-            out.push(ProtoAction::Broadcast {
+        match self.retire.fill(cache, wb, block, state, value) {
+            Some(v) if v.dirty => out.push(ProtoAction::Broadcast {
                 src: node,
                 txn: AddrTxn {
                     kind: TxnKind::PutM,
                     block: v.block,
                     requester: node,
                 },
-            });
+            }),
+            Some(v) => self.release(node, v.block),
+            None => {}
         }
     }
 
@@ -261,7 +312,7 @@ impl TsSnoop {
         out: &mut Vec<ProtoAction>,
     ) {
         let delay = self.timing.response_delay(now, arrival, self.timing.d_mem);
-        let mb = self.mem.entry(txn.block).or_default();
+        let mb = Self::mem_block(&mut self.mem, self.n, txn.block);
         if !mb.queue.is_empty() {
             // Memory is behind: append in order and replay later.
             let entry = match txn.kind {
@@ -269,7 +320,9 @@ impl TsSnoop {
                     kind: txn.kind,
                     r: txn.requester,
                 },
-                TxnKind::PutM => mb.await_wb(WbKey::PutM(txn.requester)),
+                TxnKind::PutM => {
+                    await_wb(&mut self.early_wbs, txn.block, WbKey::PutM(txn.requester))
+                }
             };
             mb.queue.push_back(entry);
         } else {
@@ -288,7 +341,8 @@ impl TsSnoop {
                         // A cache owns the block; it will respond *and*
                         // write back (M→S forces the data home in MSI).
                         // Memory stalls its log on that promised writeback.
-                        let entry = mb.await_wb(WbKey::GetS(txn.requester));
+                        let entry =
+                            await_wb(&mut self.early_wbs, txn.block, WbKey::GetS(txn.requester));
                         mb.queue.push_back(entry);
                     }
                 }
@@ -311,7 +365,8 @@ impl TsSnoop {
                     // The evictor will send WbData (still owner) or
                     // WbNoData (lost the race) when it sees its own PutM
                     // ordered.
-                    let entry = mb.await_wb(WbKey::PutM(txn.requester));
+                    let entry =
+                        await_wb(&mut self.early_wbs, txn.block, WbKey::PutM(txn.requester));
                     mb.queue.push_back(entry);
                 }
             }
@@ -331,7 +386,7 @@ impl TsSnoop {
         payload: Option<u64>,
         out: &mut Vec<ProtoAction>,
     ) {
-        let mb = self.mem.entry(block).or_default();
+        let mb = Self::mem_block(&mut self.mem, self.n, block);
         let slot = mb.queue.iter_mut().find_map(|e| match e {
             MemEntry::AwaitWb { key: k, resolved } if *k == key && resolved.is_none() => {
                 Some(resolved)
@@ -343,7 +398,10 @@ impl TsSnoop {
             None => {
                 // The triggering request is itself still queued as a Req;
                 // stash until the replay converts it into a slot.
-                mb.early_wbs.push((key, payload));
+                self.early_wbs
+                    .entry(block)
+                    .or_default()
+                    .push((key, payload));
             }
         }
         self.memory_replay(home, block, out);
@@ -354,7 +412,7 @@ impl TsSnoop {
     /// memory state that was current at its position in the total order.
     fn memory_replay(&mut self, home: NodeId, block: Block, out: &mut Vec<ProtoAction>) {
         let d_mem = self.timing.d_mem;
-        let mb = self.mem.entry(block).or_default();
+        let mb = Self::mem_block(&mut self.mem, self.n, block);
         loop {
             match mb.queue.front_mut() {
                 None => break,
@@ -381,7 +439,7 @@ impl TsSnoop {
                                 // The owner chain serves this GetS and owes
                                 // memory a writeback: open the slot (it may
                                 // already have arrived early).
-                                let entry = mb.await_wb(WbKey::GetS(r));
+                                let entry = await_wb(&mut self.early_wbs, block, WbKey::GetS(r));
                                 let unresolved =
                                     matches!(entry, MemEntry::AwaitWb { resolved: None, .. });
                                 mb.queue.push_front(entry);
@@ -441,6 +499,7 @@ impl TsSnoop {
                 TxnKind::GetM => {
                     Self::send(out, node, r, data(block, value, true), d_cache);
                     self.nodes[node.index()].cache.invalidate(block);
+                    self.release(node, block);
                 }
                 TxnKind::PutM => unreachable!("PutM snoops are never queued"),
             }
@@ -491,6 +550,7 @@ impl TsSnoop {
                             cache_delay,
                         ),
                     }
+                    self.release(me, txn.block);
                 }
                 // Other caches ignore PutM broadcasts.
             }
@@ -575,12 +635,14 @@ impl TsSnoop {
                                 }
                                 TxnKind::GetM => {
                                     self.nodes[me.index()].cache.invalidate(txn.block);
+                                    self.release(me, txn.block);
                                 }
                                 TxnKind::PutM => unreachable!(),
                             }
                         }
                         Some(CacheState::Shared) if txn.kind == TxnKind::GetM && !is_mine => {
                             self.nodes[me.index()].cache.invalidate(txn.block);
+                            self.release(me, txn.block);
                         }
                         Some(CacheState::Shared) => {}
                         None => {}
@@ -652,7 +714,9 @@ impl TsSnoop {
             MshrState::IsD => {
                 // An invalidated load uses the value once (it is ordered
                 // before the invalidating GETM) without caching it.
-                if !m.invalidated {
+                if m.invalidated {
+                    self.release(me, block);
+                } else {
                     self.fill(me, block, CacheState::Shared, value, out);
                 }
                 self.retire.load(me, block, value, out);
@@ -699,6 +763,9 @@ impl Protocol for TsSnoop {
             queued: VecDeque::new(),
             early_data: None,
         });
+        Self::mem_block(&mut self.mem, self.n, block)
+            .stake
+            .insert(node);
         out.push(ProtoAction::Broadcast {
             src: node,
             txn: AddrTxn {
@@ -738,6 +805,30 @@ impl Protocol for TsSnoop {
         true
     }
 
+    /// The block's stakeholders, the requester and the home. A PutM goes
+    /// only to its requester and its home: other caches ignore it.
+    fn snoop_targets(&self, txn: &AddrTxn, targets: &mut NodeSet) {
+        let stake = self.mem.get(&txn.block).map(|mb| &mb.stake);
+        match stake {
+            Some(stake) if txn.kind != TxnKind::PutM => targets.copy_from(stake),
+            _ => targets.clear(),
+        }
+        targets.insert(txn.requester);
+        targets.insert(txn.block.home(self.n));
+        if self.verify {
+            // What makes skipping the rest safe: no node holds anything
+            // for the block without its stakeholder bit.
+            for i in 0..self.n {
+                let node = NodeId(i as u16);
+                assert!(
+                    stake.is_some_and(|s| s.contains(node)) || !self.has_stake(node, txn.block),
+                    "{node} holds a line, writeback or MSHR for {} without its stakeholder bit",
+                    txn.block
+                );
+            }
+        }
+    }
+
     fn stats(&self) -> ProtocolStats {
         self.retire.stats
     }
@@ -749,11 +840,11 @@ impl Protocol for TsSnoop {
 
     fn check_lost_updates(&self) -> Result<(), String> {
         for (block, mb) in &self.mem {
-            if !mb.queue.is_empty() || !mb.early_wbs.is_empty() {
+            let early = self.early_wbs.get(block).map_or(0, Vec::len);
+            if !mb.queue.is_empty() || early > 0 {
                 return Err(format!(
-                    "memory log for {block} not quiescent: {} queued, {} early writebacks",
+                    "memory log for {block} not quiescent: {} queued, {early} early writebacks",
                     mb.queue.len(),
-                    mb.early_wbs.len()
                 ));
             }
         }
@@ -1159,6 +1250,160 @@ mod tests {
         let mut out = Vec::new();
         p.cpu_op(Time::ZERO, NodeId(1), CpuOp::Rmw(b), &mut out);
         assert_eq!(first_broadcast(&out).kind, TxnKind::GetM);
+    }
+
+    /// Drives two engines through one seeded random schedule: `all`
+    /// snoops every copy of each ordered broadcast, `targeted` only the
+    /// copies its `snoop_targets` names. Up to three broadcasts order in
+    /// one drain, with every query answered before the drain's first
+    /// copy, as `System::run` does; point-to-point messages land in random
+    /// order. Every copy and message must produce the same actions in
+    /// both, and the runs must end in the same cache states, values and
+    /// stats.
+    fn lockstep(n: usize, seed: u64, steps: usize) {
+        use tss_sim::rng::SimRng;
+        // Eight lines per node, 16 blocks shared by all and 16 private to
+        // each node: constant dirty evictions, and PutMs that race the
+        // requests ordered ahead of them.
+        let blocks: Vec<Block> = (0..16 * (n as u64 + 1)).map(Block).collect();
+        let private = |node: usize, i: u64| Block(16 * (node as u64 + 1) + i);
+        let cache = CacheConfig::tiny(4, 2);
+        let engine = || TsSnoop::new(n, cache, SnoopTiming::paper_default(), true);
+        let (mut all, mut targeted) = (engine(), engine());
+        let mut rng = SimRng::from_seed_and_stream(seed, n as u64);
+        let mut busy = vec![false; n];
+        let mut ordered: VecDeque<AddrTxn> = VecDeque::new();
+        let mut msgs: Vec<(NodeId, Msg)> = Vec::new();
+        let mut sets: Vec<NodeSet> = Vec::new();
+        let (mut copies, mut skipped) = (0u64, 0u64);
+
+        let apply = |acts: Vec<ProtoAction>,
+                     busy: &mut Vec<bool>,
+                     ordered: &mut VecDeque<AddrTxn>,
+                     msgs: &mut Vec<(NodeId, Msg)>| {
+            for a in acts {
+                match a {
+                    ProtoAction::Broadcast { txn, .. } => ordered.push_back(txn),
+                    ProtoAction::Send { dst, msg, .. } => msgs.push((dst, msg)),
+                    ProtoAction::Complete { node, .. } => busy[node.index()] = false,
+                }
+            }
+        };
+        let mut step = 0;
+        while step < steps || !ordered.is_empty() || !msgs.is_empty() {
+            let now = Time::from_ns(step as u64);
+            step += 1;
+            let roll = if step <= steps {
+                rng.gen_range(0..10)
+            } else {
+                5 + rng.gen_range(0..5) // only drain once the stream ends
+            };
+            let (mut out_all, mut out_targeted) = (Vec::new(), Vec::new());
+            if roll < 5 {
+                let node = rng.gen_range(0..n as u64) as usize;
+                if busy[node] {
+                    continue;
+                }
+                busy[node] = true;
+                let block = match rng.gen_range(0..10) {
+                    0..5 => private(node, rng.gen_range(0..16)),
+                    5 => private((node + 1) % n, rng.gen_range(0..16)),
+                    _ => Block(rng.gen_range(0..16)),
+                };
+                let op = match rng.gen_range(0..3) {
+                    0 => CpuOp::Load(block),
+                    1 => CpuOp::Store(block),
+                    _ => CpuOp::Rmw(block),
+                };
+                let node = NodeId(node as u16);
+                all.cpu_op(now, node, op, &mut out_all);
+                targeted.cpu_op(now, node, op, &mut out_targeted);
+            } else if roll < 8 && !ordered.is_empty() {
+                let k = (1 + rng.gen_range(0..3) as usize).min(ordered.len());
+                let drain: Vec<AddrTxn> = ordered.drain(..k).collect();
+                sets.resize(k, NodeSet::new(n));
+                for (txn, targets) in drain.iter().zip(&mut sets) {
+                    *targets = NodeSet::all(n);
+                    targeted.snoop_targets(txn, targets);
+                }
+                for dest in 0..n {
+                    let dest = NodeId(dest as u16);
+                    for (&txn, targets) in drain.iter().zip(&sets) {
+                        let snoop = ProtoEvent::Snooped {
+                            dest,
+                            txn,
+                            arrival: now,
+                        };
+                        let (mut a, mut t) = (Vec::new(), Vec::new());
+                        all.handle(now, snoop.clone(), &mut a);
+                        copies += 1;
+                        if targets.contains(dest) {
+                            targeted.handle(now, snoop, &mut t);
+                        } else {
+                            skipped += 1;
+                        }
+                        assert_eq!(a, t, "n={n} step {step}: {txn:?} snooped at {dest}");
+                        out_all.extend(a);
+                        out_targeted.extend(t);
+                    }
+                }
+            } else if !msgs.is_empty() {
+                let (dst, msg) = msgs.swap_remove(rng.gen_range(0..msgs.len() as u64) as usize);
+                all.handle(now, ProtoEvent::Delivered { dest: dst, msg }, &mut out_all);
+                targeted.handle(
+                    now,
+                    ProtoEvent::Delivered { dest: dst, msg },
+                    &mut out_targeted,
+                );
+            }
+            assert_eq!(out_all, out_targeted, "n={n} step {step}");
+            apply(out_all, &mut busy, &mut ordered, &mut msgs);
+        }
+
+        assert!(busy.iter().all(|b| !b), "every op completed");
+        assert!(
+            skipped > 0 && skipped < copies,
+            "{skipped} of {copies} copies skipped"
+        );
+        assert!(all.stats().writebacks > 50, "{:?}", all.stats());
+        assert_eq!(
+            format!("{:?}", all.stats()),
+            format!("{:?}", targeted.stats())
+        );
+        for i in 0..n {
+            let node = NodeId(i as u16);
+            for &b in &blocks {
+                let line = |p: &TsSnoop| (p.cache(node).state(b), p.cache(node).value(b));
+                assert_eq!(line(&all), line(&targeted), "n={n}: {node} {b}");
+            }
+        }
+        for &b in &blocks {
+            assert_eq!(all.final_value(b), targeted.final_value(b), "n={n}: {b}");
+            // Quiescent: only the cached copies hold a stake.
+            let mut set = NodeSet::all(n);
+            targeted.snoop_targets(
+                &AddrTxn {
+                    kind: TxnKind::GetS,
+                    block: b,
+                    requester: b.home(n),
+                },
+                &mut set,
+            );
+            for node in set.iter() {
+                assert!(
+                    node == b.home(n) || targeted.has_stake(node, b),
+                    "n={n}: {node} kept a stale bit on {b}"
+                );
+            }
+        }
+        assert_eq!(all.check_lost_updates(), Ok(()));
+        assert_eq!(targeted.check_lost_updates(), Ok(()));
+    }
+
+    #[test]
+    fn snooping_only_the_targets_matches_snooping_every_node() {
+        lockstep(4, 1, 20_000);
+        lockstep(70, 2, 20_000);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! none of the types below carry a raw GT/OT word, and why the engine
 //! layer is immune to era rollover by construction.
 
-use tss_net::{MsgClass, NodeId};
+use tss_net::{MsgClass, NodeId, NodeSet};
 use tss_sim::{Duration, Time};
 
 /// A cache-block address (byte address divided by the block size).
@@ -276,7 +276,7 @@ pub enum Vnet {
 }
 
 /// Actions a protocol engine asks the system to perform.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtoAction {
     /// Broadcast an address transaction on the timestamp-ordered network
     /// (snooping only).
@@ -426,6 +426,16 @@ pub trait Protocol {
 
     /// Whether this protocol uses the broadcast (snooping) address network.
     fn uses_snooping(&self) -> bool;
+
+    /// Narrows `targets`, which arrives holding every node, to the nodes
+    /// whose snoop of the ordered broadcast `txn` can act: a snoop is
+    /// dispatched only to those. A node left out must be one whose
+    /// [`ProtoEvent::Snooped`] would change nothing and emit nothing, at
+    /// any moment until the copies of the drain that asked have all been
+    /// dispatched. The default keeps every node.
+    fn snoop_targets(&self, txn: &AddrTxn, targets: &mut NodeSet) {
+        let _ = (txn, targets);
+    }
 
     /// Aggregate statistics so far.
     fn stats(&self) -> ProtocolStats;
