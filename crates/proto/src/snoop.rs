@@ -1274,7 +1274,6 @@ mod tests {
         let mut busy = vec![false; n];
         let mut ordered: VecDeque<AddrTxn> = VecDeque::new();
         let mut msgs: Vec<(NodeId, Msg)> = Vec::new();
-        let mut sets: Vec<NodeSet> = Vec::new();
         let (mut copies, mut skipped) = (0u64, 0u64);
 
         let apply = |acts: Vec<ProtoAction>,
@@ -1321,11 +1320,14 @@ mod tests {
             } else if roll < 8 && !ordered.is_empty() {
                 let k = (1 + rng.gen_range(0..3) as usize).min(ordered.len());
                 let drain: Vec<AddrTxn> = ordered.drain(..k).collect();
-                sets.resize(k, NodeSet::new(n));
-                for (txn, targets) in drain.iter().zip(&mut sets) {
-                    *targets = NodeSet::all(n);
-                    targeted.snoop_targets(txn, targets);
-                }
+                let sets: Vec<NodeSet> = drain
+                    .iter()
+                    .map(|txn| {
+                        let mut targets = NodeSet::all(n);
+                        targeted.snoop_targets(txn, &mut targets);
+                        targets
+                    })
+                    .collect();
                 for dest in 0..n {
                     let dest = NodeId(dest as u16);
                     for (&txn, targets) in drain.iter().zip(&sets) {
