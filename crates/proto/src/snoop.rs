@@ -1200,6 +1200,100 @@ mod tests {
         ));
     }
 
+    /// With prefetch on, memory's access starts when the request arrives:
+    /// a request memory serves at its ordering instant leaves after the
+    /// rest of that access, while one replayed from the deferred log
+    /// leaves a full `d_mem` after the writeback that released it.
+    #[test]
+    fn prefetched_memory_responses_count_from_arrival_and_replays_take_d_mem() {
+        let timing = SnoopTiming::paper_default();
+        assert!(timing.prefetch);
+        let mut p = TsSnoop::new(4, CacheConfig::tiny(16, 2), timing, true);
+        let b = Block(8); // home = node 0
+        let ns = Time::from_ns;
+        let snoop_at = |p: &mut TsSnoop, now: Time, arrival: Time, txn: AddrTxn| {
+            let mut out = Vec::new();
+            for i in 0..p.n {
+                let dest = NodeId(i as u16);
+                p.handle(now, ProtoEvent::Snooped { dest, txn, arrival }, &mut out);
+            }
+            out
+        };
+        let data_sends = |acts: &[ProtoAction]| -> Vec<(NodeId, NodeId, Msg, Duration)> {
+            acts.iter()
+                .filter_map(|a| match *a {
+                    ProtoAction::Send {
+                        src,
+                        dst,
+                        msg: msg @ Msg::Data { .. },
+                        delay,
+                        ..
+                    } => Some((src, dst, msg, delay)),
+                    _ => None,
+                })
+                .collect()
+        };
+
+        // Node 1's cold GetS arrives at 100 ns and is ordered at 150 ns:
+        // memory has 30 ns of its 80 ns access left.
+        let mut out = Vec::new();
+        p.cpu_op(ns(90), NodeId(1), CpuOp::Load(b), &mut out);
+        let acts = snoop_at(&mut p, ns(150), ns(100), first_broadcast(&out));
+        let s = data_sends(&acts);
+        assert_eq!(s.len(), 1, "memory serves the cold load");
+        assert_eq!(s[0].0, b.home(4));
+        assert_eq!(
+            s[0].3,
+            timing.response_delay(ns(150), ns(100), timing.d_mem)
+        );
+        assert_eq!(s[0].3, Duration::from_ns(30));
+        deliver(&mut p, ns(200), NodeId(1), s[0].2);
+
+        // Node 2's GetM, ordered 100 ns after it arrived: the access is
+        // already done, so memory answers at once.
+        let mut out = Vec::new();
+        p.cpu_op(ns(200), NodeId(2), CpuOp::Store(b), &mut out);
+        let acts = snoop_at(&mut p, ns(310), ns(210), first_broadcast(&out));
+        let s = data_sends(&acts);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s[0].3, Duration::ZERO);
+        deliver(&mut p, ns(320), NodeId(2), s[0].2);
+
+        // Node 3's GetS: node 2 owns the block, serves it and writes back.
+        let mut out = Vec::new();
+        p.cpu_op(ns(330), NodeId(3), CpuOp::Load(b), &mut out);
+        let acts = snoop_at(&mut p, ns(350), ns(340), first_broadcast(&out));
+        let wb = sends(&acts)
+            .into_iter()
+            .find(|(_, d, m)| *d == b.home(4) && matches!(m, Msg::WbData { .. }))
+            .expect("the owner writes back on a GetS")
+            .2;
+
+        // Node 1 loads again while that writeback is in flight: memory
+        // defers the GetS, then serves it from its log when the writeback
+        // lands, a full d_mem later however early the request arrived.
+        let mut out = Vec::new();
+        p.cpu_op(ns(360), NodeId(1), CpuOp::Load(b), &mut out);
+        let acts = snoop_at(&mut p, ns(400), ns(370), first_broadcast(&out));
+        assert!(
+            data_sends(&acts).is_empty(),
+            "memory waits for the writeback"
+        );
+        let acts = deliver(&mut p, ns(500), b.home(4), wb);
+        let s = data_sends(&acts);
+        assert_eq!(s.len(), 1);
+        assert_eq!((s[0].0, s[0].1), (b.home(4), NodeId(1)));
+        assert!(matches!(
+            s[0].2,
+            Msg::Data {
+                value: 1,
+                from_cache: false,
+                ..
+            }
+        ));
+        assert_eq!(s[0].3, timing.d_mem);
+    }
+
     #[test]
     fn load_completes_but_does_not_cache_when_invalidated_in_flight() {
         let mut p = engine(4);
