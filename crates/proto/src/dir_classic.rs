@@ -23,7 +23,7 @@ use tss_net::NodeId;
 use tss_sim::{Duration, Time};
 
 use crate::cache::{CacheConfig, CacheState, L2Cache};
-use crate::engine::{self, data, put_m, send, Retire, WbLog};
+use crate::engine::{self, bit, data, send, Retire, WbLog};
 use crate::types::{
     Block, CpuOp, Msg, ProtoAction, ProtoEvent, Protocol, ProtocolStats, TxnKind, Vnet,
 };
@@ -122,10 +122,6 @@ pub struct DirClassic {
     dir: FastMap<Block, DirBlock>,
     timing: DirTiming,
     retire: Retire,
-}
-
-fn bit(n: NodeId) -> u64 {
-    1u64 << n.index()
 }
 
 impl DirClassic {
@@ -263,45 +259,28 @@ impl DirClassic {
                     send(out, home, r, Msg::Nack { kind, block }, Vnet::Data, d_mem);
                 }
             },
-            TxnKind::PutM => match db.state {
-                DirState::Exclusive(o) if o == r => {
-                    db.state = DirState::Unowned;
-                    db.value = value;
-                    send(
-                        out,
-                        home,
-                        r,
-                        Msg::PutAck {
-                            block,
-                            accepted: true,
-                        },
-                        Vnet::Data,
-                        d_mem,
-                    );
-                }
-                DirState::BusyShared { owner, .. } | DirState::BusyExclusive { owner, .. }
-                    if owner == r =>
-                {
-                    // The writeback crossed our forward; replay it once the
-                    // busy window closes (the owner will have served the
-                    // forward from its writeback buffer).
-                    db.deferred_putm.push((r, value));
-                }
-                _ => {
+            TxnKind::PutM => {
+                let accepted = match db.state {
+                    DirState::Exclusive(o) if o == r => {
+                        db.state = DirState::Unowned;
+                        db.value = value;
+                        true
+                    }
+                    DirState::BusyShared { owner, .. } | DirState::BusyExclusive { owner, .. }
+                        if owner == r =>
+                    {
+                        // The writeback crossed our forward; replay it once
+                        // the busy window closes (the owner will have served
+                        // the forward from its writeback buffer).
+                        db.deferred_putm.push((r, value));
+                        return;
+                    }
                     // Ownership already moved on: stale writeback.
-                    send(
-                        out,
-                        home,
-                        r,
-                        Msg::PutAck {
-                            block,
-                            accepted: false,
-                        },
-                        Vnet::Data,
-                        d_mem,
-                    );
-                }
-            },
+                    _ => false,
+                };
+                let ack = Msg::PutAck { block, accepted };
+                send(out, home, r, ack, Vnet::Data, d_mem);
+            }
         }
     }
 
@@ -317,7 +296,10 @@ impl DirClassic {
     }
 
     /// A cache receives a forwarded request (it is, or very recently was,
-    /// the exclusive owner).
+    /// the exclusive owner). An outstanding writeback still holding the
+    /// data serves first; otherwise an M line serves and drops to S (GetS)
+    /// or I (GetM). Either way the requester gets the data and the home
+    /// its Revision (GetS) or Transfer (GetM).
     fn fwd_at_cache(
         &mut self,
         me: NodeId,
@@ -326,83 +308,40 @@ impl DirClassic {
         r: NodeId,
         out: &mut Vec<ProtoAction>,
     ) {
-        let d_cache = self.timing.d_cache;
-        let home = block.home(self.n);
-
-        // An outstanding writeback still holding the data serves first.
-        if let Some(value) = self.nodes[me.index()].wb.serve_owned(block) {
-            send(out, me, r, data(block, value, true), Vnet::Data, d_cache);
-            match kind {
-                TxnKind::GetS => send(
-                    out,
-                    me,
-                    home,
-                    Msg::Revision { block, value },
-                    Vnet::Data,
-                    d_cache,
-                ),
-                TxnKind::GetM => send(
-                    out,
-                    me,
-                    home,
-                    Msg::Transfer {
-                        block,
-                        new_owner: r,
-                    },
-                    Vnet::Data,
-                    d_cache,
-                ),
-                TxnKind::PutM => unreachable!("PutM is never forwarded"),
-            }
-            return;
-        }
-
-        match self.nodes[me.index()].cache.state(block) {
-            Some(CacheState::Modified) => {
-                let value = self.nodes[me.index()].cache.value(block).unwrap();
-                send(out, me, r, data(block, value, true), Vnet::Data, d_cache);
+        let node = &mut self.nodes[me.index()];
+        let value = match node.wb.serve_owned(block) {
+            Some(value) => value,
+            None if node.cache.state(block) == Some(CacheState::Modified) => {
+                let value = node.cache.value(block).unwrap();
                 match kind {
-                    TxnKind::GetS => {
-                        self.nodes[me.index()]
-                            .cache
-                            .set_state(block, CacheState::Shared);
-                        send(
-                            out,
-                            me,
-                            home,
-                            Msg::Revision { block, value },
-                            Vnet::Data,
-                            d_cache,
-                        );
-                    }
-                    TxnKind::GetM => {
-                        self.nodes[me.index()].cache.invalidate(block);
-                        send(
-                            out,
-                            me,
-                            home,
-                            Msg::Transfer {
-                                block,
-                                new_owner: r,
-                            },
-                            Vnet::Data,
-                            d_cache,
-                        );
-                    }
-                    TxnKind::PutM => unreachable!(),
+                    TxnKind::GetS => node.cache.set_state(block, CacheState::Shared),
+                    _ => node.cache.invalidate(block),
                 }
+                value
             }
-            _ => {
+            None => {
                 // Not yet the owner in practice: our own GetM data (and
                 // acks) are still in flight. Queue and serve at completion.
-                let m = self.nodes[me.index()]
+                let m = node
                     .mshr
                     .as_mut()
                     .expect("forward to a node that neither owns nor awaits the block");
                 assert_eq!(m.block, block, "forward for an unexpected block");
                 m.queued_fwds.push_back((kind, r));
+                return;
             }
-        }
+        };
+        let (d_cache, home) = (self.timing.d_cache, block.home(self.n));
+        send(out, me, r, data(block, value, true), Vnet::Data, d_cache);
+        let to_home = match kind {
+            TxnKind::GetS => Msg::Revision { block, value },
+            TxnKind::GetM => Msg::Transfer {
+                block,
+                new_owner: r,
+            },
+            TxnKind::PutM => unreachable!("PutM is never forwarded"),
+        };
+        send(out, me, home, to_home, Vnet::Data, d_cache);
     }
 
     /// Completion check for a write miss: data plus all invalidation acks.
@@ -421,15 +360,18 @@ impl DirClassic {
             self.retire.stats.cache_to_cache += 1;
         }
         let block = m.block;
+        let DirNode { cache, wb, .. } = node;
         match m.op {
             CpuOp::Load(_) => {
                 if !m.invalidated {
-                    self.fill(me, block, CacheState::Shared, value, out);
+                    let line = (block, CacheState::Shared, value);
+                    self.retire.fill_and_put_m(cache, wb, me, self.n, line, out);
                 }
                 self.retire.load(me, block, value, out);
             }
             CpuOp::Store(_) | CpuOp::Rmw(_) => {
-                self.fill(me, block, CacheState::Modified, value + 1, out);
+                let line = (block, CacheState::Modified, value + 1);
+                self.retire.fill_and_put_m(cache, wb, me, self.n, line, out);
                 self.retire.store(me, block, value, out);
                 // Serve forwards queued while our data was in flight.
                 let mut fwds = m.queued_fwds;
@@ -438,21 +380,6 @@ impl DirClassic {
                     self.fwd_at_cache(me, kind, block, r, out);
                 }
             }
-        }
-    }
-
-    fn fill(
-        &mut self,
-        me: NodeId,
-        block: Block,
-        state: CacheState,
-        value: u64,
-        out: &mut Vec<ProtoAction>,
-    ) {
-        let DirNode { cache, wb, .. } = &mut self.nodes[me.index()];
-        let victim = self.retire.fill(cache, wb, block, state, value);
-        if let Some(v) = victim.filter(|v| v.dirty) {
-            put_m(out, me, self.n, v);
         }
     }
 }
@@ -467,14 +394,8 @@ impl Protocol for DirClassic {
         if self.retire.hit(cache, node, op, out) {
             return;
         }
-        let block = op.block();
-        let kind = if op.is_write() {
-            TxnKind::GetM
-        } else {
-            TxnKind::GetS
-        };
         *mshr = Some(Mshr {
-            block,
+            block: op.block(),
             op,
             data: None,
             acks_expected: None,
@@ -482,19 +403,7 @@ impl Protocol for DirClassic {
             invalidated: false,
             queued_fwds: VecDeque::new(),
         });
-        send(
-            out,
-            node,
-            block.home(self.n),
-            Msg::DirReq {
-                kind,
-                block,
-                requester: node,
-                value: 0,
-            },
-            Vnet::Request,
-            Duration::ZERO,
-        );
+        engine::miss(out, node, self.n, op);
     }
 
     fn handle(&mut self, _now: Time, event: ProtoEvent, out: &mut Vec<ProtoAction>) {
@@ -569,20 +478,8 @@ impl Protocol for DirClassic {
                     .mshr
                     .as_ref()
                     .expect("nack without mshr");
-                assert_eq!(m.block, block);
-                send(
-                    out,
-                    me,
-                    block.home(self.n),
-                    Msg::DirReq {
-                        kind,
-                        block,
-                        requester: me,
-                        value: 0,
-                    },
-                    Vnet::Request,
-                    Duration::ZERO,
-                );
+                assert_eq!((m.block, m.op.is_write()), (block, kind == TxnKind::GetM));
+                engine::miss(out, me, self.n, m.op);
             }
             Msg::Revision { block, value } => {
                 debug_assert_eq!(me, block.home(self.n));

@@ -20,11 +20,11 @@ use std::collections::VecDeque;
 use tss_sim::hash::FastMap;
 
 use tss_net::NodeId;
-use tss_sim::{Duration, Time};
+use tss_sim::Time;
 
 use crate::cache::{CacheConfig, CacheState, L2Cache};
 use crate::dir_classic::DirTiming;
-use crate::engine::{self, data, put_m, send, Retire, WbLog};
+use crate::engine::{self, bit, data, send, Retire, WbLog};
 use crate::types::{
     Block, CpuOp, Msg, ProtoAction, ProtoEvent, Protocol, ProtocolStats, TxnKind, Vnet,
 };
@@ -59,10 +59,6 @@ struct DirNode {
     mshr: Option<Mshr>,
     /// Outstanding writebacks, resolved by their PutAck.
     wb: WbLog,
-}
-
-fn bit(n: NodeId) -> u64 {
-    1u64 << n.index()
 }
 
 /// The DirOpt protocol engine.
@@ -201,37 +197,17 @@ impl DirOpt {
                 }
             }
             TxnKind::PutM => {
-                if db.owner == Some(r) {
+                let accepted = db.owner == Some(r);
+                if accepted {
                     assert_eq!(
                         db.rev_received, db.rev_expected,
                         "an accepted writeback implies quiesced revisions"
                     );
                     db.owner = None;
                     db.value = value;
-                    send(
-                        out,
-                        home,
-                        r,
-                        Msg::PutAck {
-                            block,
-                            accepted: true,
-                        },
-                        Vnet::Data,
-                        d_mem,
-                    );
-                } else {
-                    send(
-                        out,
-                        home,
-                        r,
-                        Msg::PutAck {
-                            block,
-                            accepted: false,
-                        },
-                        Vnet::Data,
-                        d_mem,
-                    );
                 }
+                let ack = Msg::PutAck { block, accepted };
+                send(out, home, r, ack, Vnet::Data, d_mem);
             }
         }
     }
@@ -259,6 +235,9 @@ impl DirOpt {
         }
     }
 
+    /// A forwarded request lands at the owner. An outstanding writeback
+    /// still holding the data serves first; otherwise an M line serves and
+    /// drops to S (GetS) or I (GetM). A GetS also revises memory.
     fn fwd_at_cache(
         &mut self,
         me: NodeId,
@@ -267,56 +246,32 @@ impl DirOpt {
         r: NodeId,
         out: &mut Vec<ProtoAction>,
     ) {
-        let d_cache = self.timing.d_cache;
-        let home = block.home(self.n);
-
-        if let Some(value) = self.nodes[me.index()].wb.serve_owned(block) {
-            send(out, me, r, data(block, value, true), Vnet::Data, d_cache);
-            if kind == TxnKind::GetS {
-                send(
-                    out,
-                    me,
-                    home,
-                    Msg::Revision { block, value },
-                    Vnet::Data,
-                    d_cache,
-                );
-            }
-            return;
-        }
-
-        match self.nodes[me.index()].cache.state(block) {
-            Some(CacheState::Modified) => {
-                let value = self.nodes[me.index()].cache.value(block).unwrap();
-                send(out, me, r, data(block, value, true), Vnet::Data, d_cache);
+        let node = &mut self.nodes[me.index()];
+        let value = match node.wb.serve_owned(block) {
+            Some(value) => value,
+            None if node.cache.state(block) == Some(CacheState::Modified) => {
+                let value = node.cache.value(block).unwrap();
                 match kind {
-                    TxnKind::GetS => {
-                        self.nodes[me.index()]
-                            .cache
-                            .set_state(block, CacheState::Shared);
-                        send(
-                            out,
-                            me,
-                            home,
-                            Msg::Revision { block, value },
-                            Vnet::Data,
-                            d_cache,
-                        );
-                    }
-                    TxnKind::GetM => {
-                        self.nodes[me.index()].cache.invalidate(block);
-                    }
-                    TxnKind::PutM => unreachable!(),
+                    TxnKind::GetS => node.cache.set_state(block, CacheState::Shared),
+                    _ => node.cache.invalidate(block),
                 }
+                value
             }
-            _ => {
-                let m = self.nodes[me.index()]
+            None => {
+                let m = node
                     .mshr
                     .as_mut()
                     .expect("forward to a node that neither owns nor awaits the block");
                 assert_eq!(m.block, block, "forward for an unexpected block");
                 m.queued_fwds.push_back((kind, r));
+                return;
             }
+        };
+        let (d_cache, home) = (self.timing.d_cache, block.home(self.n));
+        send(out, me, r, data(block, value, true), Vnet::Data, d_cache);
+        if kind == TxnKind::GetS {
+            let revision = Msg::Revision { block, value };
+            send(out, me, home, revision, Vnet::Data, d_cache);
         }
     }
 
@@ -328,7 +283,8 @@ impl DirOpt {
         from_cache: bool,
         out: &mut Vec<ProtoAction>,
     ) {
-        let m = self.nodes[me.index()].mshr.take().expect("stray data");
+        let DirNode { cache, mshr, wb } = &mut self.nodes[me.index()];
+        let m = mshr.take().expect("stray data");
         assert_eq!(m.block, block);
         if from_cache {
             self.retire.stats.cache_to_cache += 1;
@@ -336,13 +292,15 @@ impl DirOpt {
         match m.op {
             CpuOp::Load(_) => {
                 if !m.invalidated {
-                    self.fill(me, block, CacheState::Shared, value, out);
+                    let line = (block, CacheState::Shared, value);
+                    self.retire.fill_and_put_m(cache, wb, me, self.n, line, out);
                 }
                 self.retire.load(me, block, value, out);
                 assert!(m.queued_fwds.is_empty(), "reader cannot receive forwards");
             }
             CpuOp::Store(_) | CpuOp::Rmw(_) => {
-                self.fill(me, block, CacheState::Modified, value + 1, out);
+                let line = (block, CacheState::Modified, value + 1);
+                self.retire.fill_and_put_m(cache, wb, me, self.n, line, out);
                 self.retire.store(me, block, value, out);
                 let mut fwds = m.queued_fwds;
                 assert!(fwds.len() <= 1, "the directory serialises forwards");
@@ -350,21 +308,6 @@ impl DirOpt {
                     self.fwd_at_cache(me, kind, block, r, out);
                 }
             }
-        }
-    }
-
-    fn fill(
-        &mut self,
-        me: NodeId,
-        block: Block,
-        state: CacheState,
-        value: u64,
-        out: &mut Vec<ProtoAction>,
-    ) {
-        let DirNode { cache, wb, .. } = &mut self.nodes[me.index()];
-        let victim = self.retire.fill(cache, wb, block, state, value);
-        if let Some(v) = victim.filter(|v| v.dirty) {
-            put_m(out, me, self.n, v);
         }
     }
 }
@@ -379,31 +322,13 @@ impl Protocol for DirOpt {
         if self.retire.hit(cache, node, op, out) {
             return;
         }
-        let block = op.block();
-        let kind = if op.is_write() {
-            TxnKind::GetM
-        } else {
-            TxnKind::GetS
-        };
         *mshr = Some(Mshr {
-            block,
+            block: op.block(),
             op,
             invalidated: false,
             queued_fwds: VecDeque::new(),
         });
-        send(
-            out,
-            node,
-            block.home(self.n),
-            Msg::DirReq {
-                kind,
-                block,
-                requester: node,
-                value: 0,
-            },
-            Vnet::Request,
-            Duration::ZERO,
-        );
+        engine::miss(out, node, self.n, op);
     }
 
     fn handle(&mut self, _now: Time, event: ProtoEvent, out: &mut Vec<ProtoAction>) {

@@ -4,9 +4,10 @@
 //! blocking CPU, the same L2, MSI, stores that increment the block — and
 //! varies only the coherence mechanism. This module is that fixed half:
 //! the MSI hit path, load/store retirement through the
-//! [`ValueChecker`], dirty-victim filling, the outstanding-writeback log
-//! and the lost-update check. Each engine keeps only what differs: how a
-//! miss is requested, ordered and served.
+//! [`ValueChecker`], dirty-victim filling, the outstanding-writeback log,
+//! the lost-update check and, for the engines that talk to a home node
+//! point to point, the miss request and the PutM. Each engine keeps only
+//! what differs: how a miss is ordered and served.
 
 use std::collections::VecDeque;
 
@@ -157,6 +158,25 @@ impl Retire {
         }
     }
 
+    /// [`Retire::fill`] at `node` for an engine that writes back point to
+    /// point: a dirty victim's PutM leaves for its home at once. Returns
+    /// the victim, clean or dirty.
+    pub(crate) fn fill_and_put_m(
+        &mut self,
+        cache: &mut L2Cache,
+        wb: &mut WbLog,
+        node: NodeId,
+        n: usize,
+        (block, state, value): (Block, CacheState, u64),
+        out: &mut Vec<ProtoAction>,
+    ) -> Option<Victim> {
+        let victim = self.fill(cache, wb, block, state, value)?;
+        if victim.dirty {
+            to_home(out, node, n, TxnKind::PutM, victim.block, victim.value);
+        }
+        Some(victim)
+    }
+
     /// Fills `block` into `cache` and returns the victim, if any. A dirty
     /// victim is logged in `wb` as an owned (MiA) writeback and counted,
     /// for the engine to send its PutM; a clean one is dropped silently.
@@ -231,22 +251,39 @@ pub(crate) fn data(block: Block, value: u64, from_cache: bool) -> Msg {
     }
 }
 
-/// The directory writeback of a dirty victim: a PutM carrying the data
-/// to the victim's home on the request network.
-pub(crate) fn put_m(out: &mut Vec<ProtoAction>, node: NodeId, n: usize, victim: Victim) {
-    send(
-        out,
-        node,
-        victim.block.home(n),
-        Msg::DirReq {
-            kind: TxnKind::PutM,
-            block: victim.block,
-            requester: node,
-            value: victim.value,
-        },
-        Vnet::Request,
-        Duration::ZERO,
-    );
+/// The miss request for `op` at `node`: a GetM for a store or RMW, a GetS
+/// for a load, sent to the block's home.
+pub(crate) fn miss(out: &mut Vec<ProtoAction>, node: NodeId, n: usize, op: CpuOp) {
+    let kind = if op.is_write() {
+        TxnKind::GetM
+    } else {
+        TxnKind::GetS
+    };
+    to_home(out, node, n, kind, op.block(), 0);
+}
+
+/// Sends `node`'s `kind` request for `block` to the block's home on the
+/// request network; `value` is the data a PutM carries.
+fn to_home(
+    out: &mut Vec<ProtoAction>,
+    node: NodeId,
+    n: usize,
+    kind: TxnKind,
+    block: Block,
+    value: u64,
+) {
+    let msg = Msg::DirReq {
+        kind,
+        block,
+        requester: node,
+        value,
+    };
+    send(out, node, block.home(n), msg, Vnet::Request, Duration::ZERO);
+}
+
+/// `node`'s bit in a full-bit-vector sharer set.
+pub(crate) fn bit(node: NodeId) -> u64 {
+    1u64 << node.index()
 }
 
 /// The value of the one M copy of `block` among `caches`, if any.

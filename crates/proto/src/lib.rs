@@ -24,9 +24,15 @@
 //! The paper's comparison holds the processor and cache model fixed and
 //! varies only the coherence mechanism, and so does the code: the
 //! requester side every engine shares — the MSI hit path, retirement of
-//! loads and stores through the checker, dirty-victim filling, the
-//! outstanding-writeback log and the lost-update check — lives once in a
-//! crate-private module, and each engine file holds only its mechanism.
+//! loads and stores through the checker, dirty-victim filling (with the
+//! PutM home, for the unicast engines), the outstanding-writeback log,
+//! the miss request to the home and the lost-update check — lives once
+//! in a crate-private module, and each engine file holds only its
+//! mechanism, each transition written once: TS-Snoop's memory decides an
+//! ordered request in one function whether it acts at once or replays
+//! it from its deferred log, and its owner response (data, plus the
+//! writeback home on a GetS) is one function whichever of a writeback,
+//! an M line or a just-filled line supplies the data.
 //!
 //! # Example
 //!

@@ -9,9 +9,9 @@
 //! * **Memory owner bit** (Synapse scheme): one bit per block says whether
 //!   memory owns it. Since the owned/shared wired-OR signals of classical
 //!   snooping cannot exist on a switched network, memory decides locally
-//!   whether to respond. A small per-block transient (pending-writeback
-//!   counter plus a deferred-request queue) covers the windows where
-//!   ownership is in flight back to memory.
+//!   whether to respond. A small per-block transient (a deferred log of
+//!   requests and promised writebacks) covers the windows where ownership
+//!   is in flight back to memory.
 //! * **Prefetch (optimisation 1, §3)**: controllers start their DRAM/SRAM
 //!   access when a transaction *arrives*, but only respond once it is
 //!   *ordered* — hiding the worst-case broadcast delay.
@@ -19,9 +19,9 @@
 //! The protocol is MSI (paper §4.2: "All are MSI protocols"), with silent
 //! S→I downgrades. Ownership transfers at **ordering time**: a cache whose
 //! GETM has been ordered is the logical owner even before its data arrives,
-//! so it queues intervening snoops and services the first of them after its
+//! so it remembers the first intervening snoop and services it after its
 //! fill (subsequent ones are, by the same total order, someone else's
-//! responsibility — see `drain_one_queued`).
+//! responsibility — see `Mshr::queued`).
 //!
 //! Each block's home state also records its **stakeholders**: the nodes
 //! that may hold a line, an outstanding writeback or an MSHR for it. A
@@ -102,8 +102,10 @@ struct Mshr {
     /// A GETM was ordered after our GETS: take the data for the one load,
     /// then drop to I.
     invalidated: bool,
-    /// Snoops ordered while we were the logical owner without data (ImD).
-    queued: VecDeque<(TxnKind, NodeId)>,
+    /// The first snoop ordered while we were the logical owner without
+    /// data (ImD), served right after the fill. Later ones are covered by
+    /// memory or the next owner, per the total order.
+    queued: Option<(TxnKind, NodeId)>,
     /// A `(value, from_cache)` data response that physically arrived
     /// before our own request was ordered *here*. The data network is
     /// unordered, so under address-network contention an owner whose
@@ -126,7 +128,7 @@ struct SnoopNode {
 #[derive(Debug)]
 enum MemEntry {
     /// An ordered request memory could not yet decide on.
-    Req { kind: TxnKind, r: NodeId },
+    Req(AddrTxn),
     /// A promised writeback: `resolved` is `None` until the matching
     /// `WbData`/`WbNoData` arrives (`Some(Some(v))` / `Some(None)`).
     AwaitWb {
@@ -164,6 +166,44 @@ impl MemBlock {
             value: 0,
             queue: VecDeque::new(),
             stake: NodeSet::new(n),
+        }
+    }
+
+    /// What memory does with an ordered request it can act on now. If it
+    /// owns the block it serves the requester after `delay`, and a GetM
+    /// takes the ownership along. Otherwise a GetS, like every PutM, opens
+    /// the writeback slot it implies, returned for the log; a GetM is the
+    /// owning cache's alone.
+    fn decide(
+        &mut self,
+        early_wbs: &mut EarlyWbs,
+        home: NodeId,
+        txn: AddrTxn,
+        delay: Duration,
+        out: &mut Vec<ProtoAction>,
+    ) -> Option<MemEntry> {
+        let AddrTxn {
+            kind,
+            block,
+            requester,
+        } = txn;
+        match kind {
+            TxnKind::GetS | TxnKind::GetM if self.owned => {
+                if kind == TxnKind::GetM {
+                    self.owned = false;
+                }
+                let msg = data(block, self.value, false);
+                TsSnoop::send(out, home, requester, msg, delay);
+                None
+            }
+            // The owning cache responds *and* writes back (M→S forces the
+            // data home in MSI); memory's log stalls on that writeback.
+            TxnKind::GetS => Some(await_wb(early_wbs, block, WbKey::GetS(requester))),
+            // M moves cache to cache; memory is owed nothing.
+            TxnKind::GetM => None,
+            // The evictor sends WbData (still owner) or WbNoData (lost the
+            // race) when it sees its own PutM ordered.
+            TxnKind::PutM => Some(await_wb(early_wbs, block, WbKey::PutM(requester))),
         }
     }
 }
@@ -302,7 +342,8 @@ impl TsSnoop {
     }
 
     /// Memory-controller processing of an ordered transaction at the home
-    /// node.
+    /// node. With prefetch the access started when the transaction
+    /// arrived, so the response leaves `response_delay` after ordering.
     fn memory_process(
         &mut self,
         now: Time,
@@ -313,67 +354,19 @@ impl TsSnoop {
     ) {
         let delay = self.timing.response_delay(now, arrival, self.timing.d_mem);
         let mb = Self::mem_block(&mut self.mem, self.n, txn.block);
-        if !mb.queue.is_empty() {
-            // Memory is behind: append in order and replay later.
-            let entry = match txn.kind {
-                TxnKind::GetS | TxnKind::GetM => MemEntry::Req {
-                    kind: txn.kind,
-                    r: txn.requester,
-                },
-                TxnKind::PutM => {
-                    await_wb(&mut self.early_wbs, txn.block, WbKey::PutM(txn.requester))
-                }
-            };
-            mb.queue.push_back(entry);
+        // While memory is behind, a request waits its turn in the log; a
+        // PutM's slot is its place in the order either way.
+        let entry = if mb.queue.is_empty() || txn.kind == TxnKind::PutM {
+            mb.decide(&mut self.early_wbs, home, txn, delay, out)
         } else {
-            match txn.kind {
-                TxnKind::GetS => {
-                    if mb.owned {
-                        let value = mb.value;
-                        Self::send(
-                            out,
-                            home,
-                            txn.requester,
-                            data(txn.block, value, false),
-                            delay,
-                        );
-                    } else {
-                        // A cache owns the block; it will respond *and*
-                        // write back (M→S forces the data home in MSI).
-                        // Memory stalls its log on that promised writeback.
-                        let entry =
-                            await_wb(&mut self.early_wbs, txn.block, WbKey::GetS(txn.requester));
-                        mb.queue.push_back(entry);
-                    }
-                }
-                TxnKind::GetM => {
-                    if mb.owned {
-                        let value = mb.value;
-                        mb.owned = false;
-                        Self::send(
-                            out,
-                            home,
-                            txn.requester,
-                            data(txn.block, value, false),
-                            delay,
-                        );
-                    }
-                    // else: the owning cache chain responds; no writeback
-                    // is promised (M moves cache-to-cache).
-                }
-                TxnKind::PutM => {
-                    // The evictor will send WbData (still owner) or
-                    // WbNoData (lost the race) when it sees its own PutM
-                    // ordered.
-                    let entry =
-                        await_wb(&mut self.early_wbs, txn.block, WbKey::PutM(txn.requester));
-                    mb.queue.push_back(entry);
-                }
-            }
+            Some(MemEntry::Req(txn))
+        };
+        if let Some(entry) = entry {
+            mb.queue.push_back(entry);
+            // A slot opened here may already be resolved (its writeback
+            // arrived early); replay so the log cannot stall on it.
+            self.memory_replay(home, txn.block, out);
         }
-        // A slot opened above may already be resolved (its writeback
-        // arrived early); replay so the log cannot stall on it.
-        self.memory_replay(home, txn.block, out);
     }
 
     /// A writeback (data or no-data) landed at the home: resolve its slot
@@ -409,102 +402,82 @@ impl TsSnoop {
 
     /// Replays the deferred log strictly in order, stopping at the first
     /// still-unresolved writeback slot. Each replayed request sees the
-    /// memory state that was current at its position in the total order.
+    /// memory state that was current at its position in the total order,
+    /// and leaves a full `d_mem` after the writeback that released it.
     fn memory_replay(&mut self, home: NodeId, block: Block, out: &mut Vec<ProtoAction>) {
         let d_mem = self.timing.d_mem;
         let mb = Self::mem_block(&mut self.mem, self.n, block);
-        loop {
-            match mb.queue.front_mut() {
-                None => break,
-                Some(MemEntry::AwaitWb { resolved: None, .. }) => break,
-                Some(MemEntry::AwaitWb {
+        while let Some(front) = mb.queue.front_mut() {
+            match front {
+                MemEntry::AwaitWb { resolved: None, .. } => break,
+                MemEntry::AwaitWb {
                     resolved: Some(payload),
                     ..
-                }) => {
-                    if let Some(v) = payload {
+                } => {
+                    if let Some(v) = *payload {
                         mb.owned = true;
-                        mb.value = *v;
+                        mb.value = v;
                     }
                     mb.queue.pop_front();
                 }
-                Some(MemEntry::Req { kind, r }) => {
-                    let (kind, r) = (*kind, *r);
+                MemEntry::Req(txn) => {
+                    let txn = *txn;
                     mb.queue.pop_front();
-                    match kind {
-                        TxnKind::GetS => {
-                            if mb.owned {
-                                let value = mb.value;
-                                Self::send(out, home, r, data(block, value, false), d_mem);
-                            } else {
-                                // The owner chain serves this GetS and owes
-                                // memory a writeback: open the slot (it may
-                                // already have arrived early).
-                                let entry = await_wb(&mut self.early_wbs, block, WbKey::GetS(r));
-                                let unresolved =
-                                    matches!(entry, MemEntry::AwaitWb { resolved: None, .. });
-                                mb.queue.push_front(entry);
-                                if unresolved {
-                                    break;
-                                }
-                            }
-                        }
-                        TxnKind::GetM => {
-                            if mb.owned {
-                                let value = mb.value;
-                                mb.owned = false;
-                                Self::send(out, home, r, data(block, value, false), d_mem);
-                            }
-                            // else: the owner chain serves it; nothing owed.
-                        }
-                        TxnKind::PutM => unreachable!("PutM queues as AwaitWb"),
+                    // A slot the request opens takes its place at the head.
+                    if let Some(entry) = mb.decide(&mut self.early_wbs, home, txn, d_mem, out) {
+                        mb.queue.push_front(entry);
                     }
                 }
             }
         }
     }
 
-    /// After an ImD fill, service the first queued snoop (if any); the
-    /// rest are covered by memory or the next owner, per the total order.
-    fn drain_one_queued(
-        &mut self,
-        node: NodeId,
-        block: Block,
-        queued: &mut VecDeque<(TxnKind, NodeId)>,
+    /// The owner's response to an ordered GetS or GetM: `value` to the
+    /// requester (from a cache unless it is the owner's own refetch) and,
+    /// on a GetS, the writeback home that M→S forces in MSI.
+    fn respond(
+        &self,
+        me: NodeId,
+        txn: AddrTxn,
+        value: u64,
+        delay: Duration,
         out: &mut Vec<ProtoAction>,
     ) {
-        let d_cache = self.timing.d_cache;
-        if let Some((kind, r)) = queued.pop_front() {
-            let value = self.nodes[node.index()]
-                .cache
-                .value(block)
-                .expect("owner just filled this block");
-            match kind {
-                TxnKind::GetS => {
-                    Self::send(out, node, r, data(block, value, true), d_cache);
-                    Self::send(
-                        out,
-                        node,
-                        block.home(self.n),
-                        Msg::WbData {
-                            block,
-                            value,
-                            key: WbKey::GetS(r),
-                        },
-                        d_cache,
-                    );
-                    self.nodes[node.index()]
-                        .cache
-                        .set_state(block, CacheState::Shared);
-                }
-                TxnKind::GetM => {
-                    Self::send(out, node, r, data(block, value, true), d_cache);
-                    self.nodes[node.index()].cache.invalidate(block);
-                    self.release(node, block);
-                }
-                TxnKind::PutM => unreachable!("PutM snoops are never queued"),
-            }
+        let AddrTxn {
+            kind,
+            block,
+            requester,
+        } = txn;
+        let msg = data(block, value, requester != me);
+        Self::send(out, me, requester, msg, delay);
+        if kind == TxnKind::GetS {
+            let key = WbKey::GetS(requester);
+            let wb = Msg::WbData { block, value, key };
+            Self::send(out, me, block.home(self.n), wb, delay);
         }
-        queued.clear();
+    }
+
+    /// `me`'s M line answers an ordered GetS or GetM and gives the block
+    /// up: to S on a GetS, invalidated on a GetM.
+    fn serve_line(
+        &mut self,
+        me: NodeId,
+        txn: AddrTxn,
+        delay: Duration,
+        out: &mut Vec<ProtoAction>,
+    ) {
+        let value = self.nodes[me.index()]
+            .cache
+            .value(txn.block)
+            .expect("the owner holds the block");
+        self.respond(me, txn, value, delay, out);
+        let cache = &mut self.nodes[me.index()].cache;
+        if txn.kind == TxnKind::GetS {
+            cache.set_state(txn.block, CacheState::Shared);
+        } else {
+            cache.invalidate(txn.block);
+            self.release(me, txn.block);
+        }
     }
 
     fn snooped(
@@ -578,26 +551,7 @@ impl TsSnoop {
                 // responds — including to our own refetch of the block.
                 let served = self.nodes[me.index()].wb.serve_owned(txn.block);
                 if let Some(value) = served {
-                    Self::send(
-                        out,
-                        me,
-                        txn.requester,
-                        data(txn.block, value, !is_mine),
-                        cache_delay,
-                    );
-                    if txn.kind == TxnKind::GetS {
-                        Self::send(
-                            out,
-                            me,
-                            txn.block.home(self.n),
-                            Msg::WbData {
-                                block: txn.block,
-                                value,
-                                key: WbKey::GetS(txn.requester),
-                            },
-                            cache_delay,
-                        );
-                    }
+                    self.respond(me, txn, value, cache_delay, out);
                 }
 
                 // 3) Stable-state reactions.
@@ -605,40 +559,7 @@ impl TsSnoop {
                     match self.nodes[me.index()].cache.state(txn.block) {
                         Some(CacheState::Modified) => {
                             debug_assert!(!is_mine, "a hit would not have broadcast");
-                            let value = self.nodes[me.index()]
-                                .cache
-                                .value(txn.block)
-                                .expect("modified block has a value");
-                            Self::send(
-                                out,
-                                me,
-                                txn.requester,
-                                data(txn.block, value, true),
-                                cache_delay,
-                            );
-                            match txn.kind {
-                                TxnKind::GetS => {
-                                    Self::send(
-                                        out,
-                                        me,
-                                        txn.block.home(self.n),
-                                        Msg::WbData {
-                                            block: txn.block,
-                                            value,
-                                            key: WbKey::GetS(txn.requester),
-                                        },
-                                        cache_delay,
-                                    );
-                                    self.nodes[me.index()]
-                                        .cache
-                                        .set_state(txn.block, CacheState::Shared);
-                                }
-                                TxnKind::GetM => {
-                                    self.nodes[me.index()].cache.invalidate(txn.block);
-                                    self.release(me, txn.block);
-                                }
-                                TxnKind::PutM => unreachable!(),
-                            }
+                            self.serve_line(me, txn, cache_delay, out);
                         }
                         Some(CacheState::Shared) if txn.kind == TxnKind::GetM && !is_mine => {
                             self.nodes[me.index()].cache.invalidate(txn.block);
@@ -655,7 +576,7 @@ impl TsSnoop {
                                 match (m.state, txn.kind) {
                                     (MshrState::IsD, TxnKind::GetM) => m.invalidated = true,
                                     (MshrState::ImD, k) => {
-                                        m.queued.push_back((k, txn.requester));
+                                        m.queued.get_or_insert((k, txn.requester));
                                     }
                                     _ => {}
                                 }
@@ -725,8 +646,14 @@ impl TsSnoop {
                 // Stores increment (verification).
                 self.fill(me, block, CacheState::Modified, value + 1, out);
                 self.retire.store(me, block, value, out);
-                let mut queued = m.queued;
-                self.drain_one_queued(me, block, &mut queued, out);
+                if let Some((kind, requester)) = m.queued {
+                    let txn = AddrTxn {
+                        kind,
+                        block,
+                        requester,
+                    };
+                    self.serve_line(me, txn, self.timing.d_cache, out);
+                }
             }
             s => panic!("data arrived in state {s:?} (before our request was ordered)"),
         }
@@ -760,7 +687,7 @@ impl Protocol for TsSnoop {
             block,
             state,
             invalidated: false,
-            queued: VecDeque::new(),
+            queued: None,
             early_data: None,
         });
         Self::mem_block(&mut self.mem, self.n, block)

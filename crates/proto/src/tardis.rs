@@ -39,11 +39,11 @@
 use tss_sim::hash::FastMap;
 
 use tss_net::NodeId;
-use tss_sim::{Duration, Gt, Time};
+use tss_sim::{Gt, Time};
 
 use crate::cache::{CacheConfig, CacheState, L2Cache};
 use crate::dir_classic::DirTiming;
-use crate::engine::{data, put_m, send, Retire};
+use crate::engine::{self, data, send, Retire, WbLog};
 use crate::types::{
     Block, CpuOp, Msg, ProtoAction, ProtoEvent, Protocol, ProtocolStats, TxnKind, Vnet,
 };
@@ -114,7 +114,7 @@ struct TardisNode {
     /// node: `(wts, end)` snapshotted where the data was sent.
     pending_lease: Option<(Gt, Gt)>,
     /// Dirty evictions awaiting their `PutAck`.
-    wb: FastMap<Block, u32>,
+    wb: WbLog,
 }
 
 /// The Tardis timestamp-lease protocol engine.
@@ -156,7 +156,7 @@ impl Tardis {
                     pts: origin,
                     leases: FastMap::default(),
                     pending_lease: None,
-                    wb: FastMap::default(),
+                    wb: WbLog::default(),
                 })
                 .collect(),
             home: FastMap::default(),
@@ -428,6 +428,7 @@ impl Tardis {
         }
     }
 
+    /// The shared fill; a victim also drops its lease.
     fn fill(
         &mut self,
         me: NodeId,
@@ -436,43 +437,23 @@ impl Tardis {
         value: u64,
         out: &mut Vec<ProtoAction>,
     ) {
-        let victim = self.nodes[me.index()].cache.fill(block, state, value, None);
-        if let Some(v) = victim {
-            self.nodes[me.index()].leases.remove(&v.block);
-            if v.dirty {
-                self.retire.stats.writebacks += 1;
-                *self.nodes[me.index()].wb.entry(v.block).or_insert(0) += 1;
-                put_m(out, me, self.n, v);
-            }
+        let TardisNode {
+            cache, wb, leases, ..
+        } = &mut self.nodes[me.index()];
+        let line = (block, state, value);
+        if let Some(v) = self.retire.fill_and_put_m(cache, wb, me, self.n, line, out) {
+            leases.remove(&v.block);
         }
     }
 
     fn miss(&mut self, node: NodeId, op: CpuOp, out: &mut Vec<ProtoAction>) {
         self.retire.stats.misses += 1;
-        let block = op.block();
-        let kind = if op.is_write() {
-            TxnKind::GetM
-        } else {
-            TxnKind::GetS
-        };
         self.nodes[node.index()].mshr = Some(Mshr {
-            block,
+            block: op.block(),
             op,
             invalidated: false,
         });
-        send(
-            out,
-            node,
-            block.home(self.n),
-            Msg::DirReq {
-                kind,
-                block,
-                requester: node,
-                value: 0,
-            },
-            Vnet::Request,
-            Duration::ZERO,
-        );
+        engine::miss(out, node, self.n, op);
     }
 }
 
@@ -558,12 +539,7 @@ impl Protocol for Tardis {
                 self.fwd_at_cache(me, kind, block, requester, out);
             }
             Msg::PutAck { block, .. } => {
-                let node = &mut self.nodes[me.index()];
-                let pending = node.wb.get_mut(&block).expect("put-ack without writeback");
-                *pending -= 1;
-                if *pending == 0 {
-                    node.wb.remove(&block);
-                }
+                self.nodes[me.index()].wb.resolve_oldest(block);
             }
             other => panic!("Tardis received an unexpected message: {other:?}"),
         }
