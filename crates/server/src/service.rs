@@ -26,9 +26,10 @@
 //!   of them: past that, a POST evicts the oldest posted grid.
 //! * **Graceful shutdown** ([`SweepServer::begin_shutdown`]): the
 //!   queue is abandoned — workers finish the cells they hold,
-//!   queued cells are dropped, streaming responses emit an `aborted`
-//!   event — and the store stays consistent because every write was
-//!   atomic anyway.
+//!   queued cells are dropped — and every slot still in flight is
+//!   closed, so each stream waiting on one wakes and emits an `aborted`
+//!   event. The store stays consistent because every write was atomic
+//!   anyway.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufReader};
@@ -66,42 +67,54 @@ pub struct ServerConfig {
 /// grid streams read.
 #[derive(Debug)]
 struct CellSlot {
-    result: Mutex<Option<RunReport>>,
+    state: Mutex<SlotState>,
     ready: Condvar,
+}
+
+#[derive(Debug)]
+enum SlotState {
+    /// The cell is queued or running.
+    Pending,
+    Filled(Box<RunReport>),
+    /// The cell was abandoned and will never fill.
+    Closed,
 }
 
 impl CellSlot {
     /// A slot that fills later (`None`) or is already filled.
     fn new(result: Option<RunReport>) -> CellSlot {
         CellSlot {
-            result: Mutex::new(result),
+            state: Mutex::new(
+                result.map_or(SlotState::Pending, |r| SlotState::Filled(Box::new(r))),
+            ),
             ready: Condvar::new(),
         }
     }
 
     fn fill(&self, report: RunReport) {
-        *self.result.lock().expect("slot lock") = Some(report);
+        *self.state.lock().expect("slot lock") = SlotState::Filled(Box::new(report));
         self.ready.notify_all();
     }
 
-    /// Blocks until the slot fills, or returns `None` once `shutdown`
-    /// rises (the slot's cell was abandoned and will never fill).
-    fn wait(&self, shutdown: &AtomicBool) -> Option<RunReport> {
-        let mut guard = self.result.lock().expect("slot lock");
+    /// Gives up on a slot that has not filled: its waiters return `None`.
+    fn close(&self) {
+        let mut state = self.state.lock().expect("slot lock");
+        if let SlotState::Pending = *state {
+            *state = SlotState::Closed;
+        }
+        drop(state);
+        self.ready.notify_all();
+    }
+
+    /// Blocks until the slot fills, or returns `None` once it is closed.
+    fn wait(&self) -> Option<RunReport> {
+        let mut state = self.state.lock().expect("slot lock");
         loop {
-            if let Some(report) = guard.as_ref() {
-                return Some(report.clone());
+            match &*state {
+                SlotState::Pending => state = self.ready.wait(state).expect("slot lock"),
+                SlotState::Filled(report) => return Some(RunReport::clone(report)),
+                SlotState::Closed => return None,
             }
-            if shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            // Timed wait: the shutdown flag has no condvar of its own,
-            // so waiters must poll it.
-            let (next, _) = self
-                .ready
-                .wait_timeout(guard, Duration::from_millis(50))
-                .expect("slot lock");
-            guard = next;
         }
     }
 }
@@ -143,16 +156,18 @@ impl<T> TaskQueue<T> {
         }
     }
 
-    /// Appends a task; a closed queue drops it uncounted.
-    fn push(&self, task: T) {
+    /// Appends a task and returns `true`; a closed queue drops it
+    /// uncounted and returns `false`.
+    fn push(&self, task: T) -> bool {
         let mut q = self.inner.lock().expect("queue lock");
         if q.closed {
-            return;
+            return false;
         }
         q.tasks.push_back(task);
         q.submitted += 1;
         drop(q);
         self.available.notify_one();
+        true
     }
 
     /// The oldest queued task, blocking while the queue is empty; `None`
@@ -288,6 +303,13 @@ impl SweepServer {
     pub fn begin_shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
         self.state.queue.abandon();
+        // Nothing in flight will fill now but the cells workers hold;
+        // wake every stream waiting on the rest. A slot registered after
+        // this pass was refused by the closed queue, and its submitter
+        // closes it.
+        for slot in self.state.inflight.lock().expect("inflight lock").values() {
+            slot.close();
+        }
         // Wake the accept loop, blocked in `accept()`: whatever
         // connection it takes next, it sees the flag and exits. A
         // wildcard bind is reached through loopback. Once the loop has
@@ -411,12 +433,15 @@ fn submit_grid(state: &Arc<State>, plan: GridPlan) -> (u64, Arc<GridJob>) {
                     let slot = Arc::new(CellSlot::new(None));
                     inflight.insert(cell.key, Arc::clone(&slot));
                     // A closed queue (shutdown raced the request)
-                    // drops the task; the waiter then aborts on the
-                    // shutdown flag instead of hanging.
-                    state.queue.push(CellTask {
+                    // refuses the task; closing its slot makes the
+                    // waiter abort instead of hanging.
+                    let task = CellTask {
                         plan: cell.clone(),
                         slot: Arc::clone(&slot),
-                    });
+                    };
+                    if !state.queue.push(task) {
+                        slot.close();
+                    }
                     slot
                 }
             };
@@ -594,7 +619,7 @@ fn get_grid_stream(stream: TcpStream, state: &Arc<State>, id_text: &str) -> io::
 
     let mut cells = Vec::with_capacity(total);
     for (i, slot) in job.slots.iter().enumerate() {
-        match slot.wait(&state.shutdown) {
+        match slot.wait() {
             Some(report) => {
                 let event = serde_json::Value::Object(vec![
                     ("event".into(), serde_json::Value::Str("cell".into())),
@@ -804,9 +829,23 @@ mod tests {
     fn push_after_abandon_is_dropped() {
         let q = TaskQueue::new();
         q.abandon();
-        q.push(7);
+        assert!(!q.push(7), "a closed queue refuses the task");
         assert_eq!(q.pop(), None);
         assert_eq!(q.counts(), (0, 0));
+    }
+
+    #[test]
+    fn a_waiter_on_an_unfilled_slot_returns_none_once_it_closes() {
+        let slot = Arc::new(CellSlot::new(None));
+        let waiter = {
+            let slot = Arc::clone(&slot);
+            std::thread::spawn(move || slot.wait())
+        };
+        // Whether or not the waiter has parked yet, closing must end it.
+        std::thread::sleep(Duration::from_millis(20));
+        slot.close();
+        assert!(waiter.join().expect("waiter thread").is_none());
+        assert!(slot.wait().is_none(), "a closed slot answers at once");
     }
 
     #[test]
