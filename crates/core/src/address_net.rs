@@ -110,7 +110,7 @@ pub use tss_net::Delivery as AddrDelivery;
 pub trait AddressNet<P>: Send {
     /// Broadcasts `payload` from `src` at `now`, which must be
     /// non-decreasing across calls. Returns the earliest instant at which
-    /// [`AddressNet::drain_into`] may make progress on this broadcast.
+    /// [`AddressNet::drain_for`] may make progress on this broadcast.
     fn inject(&mut self, now: Time, src: NodeId, payload: P) -> Time;
 
     /// Advances the model to `now` (non-decreasing across calls, and at
@@ -138,7 +138,7 @@ pub trait AddressNet<P>: Send {
         self.drain_for(now, &mut |_, _| {}, out);
     }
 
-    /// When to poll [`AddressNet::drain_into`] next: `Some` while any
+    /// When to poll [`AddressNet::drain_for`] next: `Some` while any
     /// endpoint copy is still pending, `None` once quiescent. Callers
     /// re-arm one poll event from this after every drain.
     fn next_ready(&self) -> Option<Time>;

@@ -295,7 +295,7 @@ impl<P> FastOrderedNet<P> {
     /// Returns the physical instant at which the transaction becomes
     /// processable at **every** endpoint (they all reach `GT = OT`
     /// simultaneously in the unloaded model). The caller should invoke
-    /// [`FastOrderedNet::drain_into`] at that instant.
+    /// [`FastOrderedNet::drain_for`] at that instant.
     pub fn inject(&mut self, now: Time, src: NodeId, payload: P) -> Time {
         let plane = (self.plane_rr[src.index()] as usize) % self.fabric.planes();
         self.plane_rr[src.index()] = self.plane_rr[src.index()].wrapping_add(1);
@@ -407,7 +407,7 @@ impl<P> FastOrderedNet<P> {
     }
 
     /// Earliest ordering instant among still-pending deliveries — when the
-    /// next [`FastOrderedNet::drain_into`] call can make progress. The heap is
+    /// next [`FastOrderedNet::drain_for`] call can make progress. The heap is
     /// `(OT, source, seq)`-ordered and `ordered_at` is monotone in OT, so
     /// the top entry carries the minimum.
     pub fn next_ordered_at(&self) -> Option<Time> {

@@ -209,7 +209,7 @@ type CopyQueue<P> = BinaryHeap<Reverse<Keyed<(Time, Arc<P>)>>>;
 /// per-plane GTs, because a transaction with OT ≤ GT could still be in
 /// flight on any plane whose GT has not yet passed it: a copy processed on
 /// its plane waits in the node's merge queue until then, and is released
-/// to [`DetailedNet::drain_into`] stamped with that instant. Ordering
+/// to [`DetailedNet::drain_for`] stamped with that instant. Ordering
 /// times stay globally comparable because every plane starts with the
 /// same initial marking and (unloaded) ticks in lock step; under skew
 /// (contention on one plane) the min-GT gate is what keeps the total order
@@ -257,7 +257,7 @@ pub struct DetailedNet<P> {
     /// when zero).
     merge_pending: usize,
     /// Copies past the min-GT gate, each stamped with the instant the gate
-    /// opened, awaiting [`DetailedNet::drain_into`].
+    /// opened, awaiting [`DetailedNet::drain_for`].
     released: Vec<Delivery<P>>,
     /// One drain's target sets by broadcast `(source, sequence)`; reused
     /// across drains, so it may hold more entries than the drain asked.
@@ -457,7 +457,7 @@ impl<P> DetailedNet<P> {
     }
 
     /// Endpoint-copies injected but not yet released to
-    /// [`DetailedNet::drain_into`]: in flight, buffered in a switch,
+    /// [`DetailedNet::drain_for`]: in flight, buffered in a switch,
     /// parked in a plane's reorder queue, or held back by the min-GT gate.
     pub fn outstanding(&self) -> u64 {
         self.copies_outstanding
