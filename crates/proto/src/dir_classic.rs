@@ -15,8 +15,6 @@
 //! * **invalidation acks** — a store to a shared block completes only after
 //!   the requester collects an ack from every sharer.
 
-use std::collections::VecDeque;
-
 use tss_sim::hash::FastMap;
 
 use tss_net::NodeId;
@@ -89,7 +87,9 @@ struct Mshr {
     acks_expected: Option<u16>,
     acks_got: u16,
     invalidated: bool,
-    queued_fwds: VecDeque<(TxnKind, NodeId)>,
+    /// A forward that arrived before our own data, served once it lands.
+    /// The home lets at most one through per miss.
+    queued_fwd: Option<(TxnKind, NodeId)>,
 }
 
 #[derive(Debug)]
@@ -327,7 +327,11 @@ impl DirClassic {
                     .as_mut()
                     .expect("forward to a node that neither owns nor awaits the block");
                 assert_eq!(m.block, block, "forward for an unexpected block");
-                m.queued_fwds.push_back((kind, r));
+                let earlier = m.queued_fwd.replace((kind, r));
+                assert!(
+                    earlier.is_none(),
+                    "home serializes forwards via busy states"
+                );
                 return;
             }
         };
@@ -373,10 +377,8 @@ impl DirClassic {
                 let line = (block, CacheState::Modified, value + 1);
                 self.retire.fill_and_put_m(cache, wb, me, self.n, line, out);
                 self.retire.store(me, block, value, out);
-                // Serve forwards queued while our data was in flight.
-                let mut fwds = m.queued_fwds;
-                assert!(fwds.len() <= 1, "home serializes forwards via busy states");
-                if let Some((kind, r)) = fwds.pop_front() {
+                // Serve a forward queued while our data was in flight.
+                if let Some((kind, r)) = m.queued_fwd {
                     self.fwd_at_cache(me, kind, block, r, out);
                 }
             }
@@ -401,7 +403,7 @@ impl Protocol for DirClassic {
             acks_expected: None,
             acks_got: 0,
             invalidated: false,
-            queued_fwds: VecDeque::new(),
+            queued_fwd: None,
         });
         engine::miss(out, node, self.n, op);
     }
@@ -528,6 +530,8 @@ impl Protocol for DirClassic {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
     use crate::engine::testkit::{deliver, run_op, sends, settle};
 

@@ -50,7 +50,9 @@ struct Mshr {
     block: Block,
     op: CpuOp,
     invalidated: bool,
-    queued_fwds: VecDeque<(TxnKind, NodeId)>,
+    /// A forward that arrived before our own data, served once it lands.
+    /// The home lets at most one through per miss.
+    queued_fwd: Option<(TxnKind, NodeId)>,
 }
 
 #[derive(Debug)]
@@ -263,7 +265,8 @@ impl DirOpt {
                     .as_mut()
                     .expect("forward to a node that neither owns nor awaits the block");
                 assert_eq!(m.block, block, "forward for an unexpected block");
-                m.queued_fwds.push_back((kind, r));
+                let earlier = m.queued_fwd.replace((kind, r));
+                assert!(earlier.is_none(), "the directory serialises forwards");
                 return;
             }
         };
@@ -296,15 +299,13 @@ impl DirOpt {
                     self.retire.fill_and_put_m(cache, wb, me, self.n, line, out);
                 }
                 self.retire.load(me, block, value, out);
-                assert!(m.queued_fwds.is_empty(), "reader cannot receive forwards");
+                assert!(m.queued_fwd.is_none(), "reader cannot receive forwards");
             }
             CpuOp::Store(_) | CpuOp::Rmw(_) => {
                 let line = (block, CacheState::Modified, value + 1);
                 self.retire.fill_and_put_m(cache, wb, me, self.n, line, out);
                 self.retire.store(me, block, value, out);
-                let mut fwds = m.queued_fwds;
-                assert!(fwds.len() <= 1, "the directory serialises forwards");
-                if let Some((kind, r)) = fwds.pop_front() {
+                if let Some((kind, r)) = m.queued_fwd {
                     self.fwd_at_cache(me, kind, block, r, out);
                 }
             }
@@ -326,7 +327,7 @@ impl Protocol for DirOpt {
             block: op.block(),
             op,
             invalidated: false,
-            queued_fwds: VecDeque::new(),
+            queued_fwd: None,
         });
         engine::miss(out, node, self.n, op);
     }
