@@ -312,7 +312,7 @@ impl DirClassic {
         let value = match node.wb.serve_owned(block) {
             Some(value) => value,
             None if node.cache.state(block) == Some(CacheState::Modified) => {
-                let value = node.cache.value(block).unwrap();
+                let value = node.cache.value(block).expect("an M line holds a value");
                 match kind {
                     TxnKind::GetS => node.cache.set_state(block, CacheState::Shared),
                     _ => node.cache.invalidate(block),

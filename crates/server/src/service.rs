@@ -75,6 +75,7 @@ struct CellSlot {
 enum SlotState {
     /// The cell is queued or running.
     Pending,
+    /// The cell's result, for every waiter.
     Filled(Box<RunReport>),
     /// The cell was abandoned and will never fill.
     Closed,
