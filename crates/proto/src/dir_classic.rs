@@ -533,7 +533,7 @@ mod tests {
     use std::collections::VecDeque;
 
     use super::*;
-    use crate::engine::testkit::{deliver, run_op, sends, settle};
+    use crate::engine::testkit::{deliver, request_at_home, run_op, sends, settle};
 
     fn engine(n: usize) -> DirClassic {
         DirClassic::new(
@@ -742,5 +742,148 @@ mod tests {
         run_op(&mut p, NodeId(0), CpuOp::Load(Block(2)));
         assert_eq!(run_op(&mut p, NodeId(0), CpuOp::Load(Block(2))), 0);
         assert_eq!(p.stats().hits, 1);
+    }
+
+    #[test]
+    fn forward_beating_the_data_waits_for_data_and_every_ack() {
+        let (b, home) = (Block(8), NodeId(0));
+        let mut p = engine(8);
+        run_op(&mut p, NodeId(1), CpuOp::Load(b));
+        run_op(&mut p, NodeId(2), CpuOp::Load(b));
+        // Node 3's GetM: data with two acks to collect, invals to 1 and 2.
+        let getm3 = request_at_home(&mut p, NodeId(3), CpuOp::Store(b));
+        assert!(matches!(
+            getm3[0].2,
+            Msg::Data {
+                acks_expected: 2,
+                ..
+            }
+        ));
+        // Node 4's GetM is forwarded to node 3, which holds only an MSHR.
+        let fwd = request_at_home(&mut p, NodeId(4), CpuOp::Store(b));
+        assert_eq!(fwd[0].1, NodeId(3));
+        assert!(deliver(&mut p, NodeId(3), fwd[0].2).is_empty(), "queued");
+        assert!(
+            deliver(&mut p, NodeId(3), getm3[0].2).is_empty(),
+            "acks due"
+        );
+        let ack1 = sends(&deliver(&mut p, NodeId(1), getm3[1].2));
+        assert!(
+            deliver(&mut p, NodeId(3), ack1[0].2).is_empty(),
+            "one ack due"
+        );
+        let ack2 = sends(&deliver(&mut p, NodeId(2), getm3[2].2));
+
+        // The last ack completes the store, then serves the forward.
+        let done = deliver(&mut p, NodeId(3), ack2[0].2);
+        assert!(matches!(
+            done[0],
+            ProtoAction::Complete {
+                node: NodeId(3),
+                value: 0
+            }
+        ));
+        let served = sends(&done);
+        assert_eq!(served.len(), 2);
+        assert_eq!(served[0].1, NodeId(4));
+        assert!(matches!(
+            served[0].2,
+            Msg::Data {
+                value: 1,
+                from_cache: true,
+                ..
+            }
+        ));
+        assert_eq!(
+            served[1],
+            (
+                NodeId(3),
+                home,
+                Msg::Transfer {
+                    block: b,
+                    new_owner: NodeId(4)
+                }
+            )
+        );
+        assert_eq!(p.cache(NodeId(3)).state(b), None);
+
+        let done4 = deliver(&mut p, NodeId(4), served[0].2);
+        assert!(matches!(
+            done4[0],
+            ProtoAction::Complete {
+                node: NodeId(4),
+                value: 1
+            }
+        ));
+        assert!(deliver(&mut p, home, served[1].2).is_empty());
+        assert_eq!(p.cache(NodeId(4)).state(b), Some(CacheState::Modified));
+        assert_eq!(p.final_value(b), 2);
+        assert_eq!(p.stats().cache_to_cache, 1);
+    }
+
+    #[test]
+    fn inval_to_a_writer_keeps_the_line_and_still_acks() {
+        let b = Block(8);
+        let mut p = engine(4);
+        run_op(&mut p, NodeId(1), CpuOp::Load(b));
+        run_op(&mut p, NodeId(2), CpuOp::Load(b));
+        let mut pending = request_at_home(&mut p, NodeId(3), CpuOp::Store(b));
+        let inval1 = pending.remove(1);
+        assert_eq!(inval1.1, NodeId(1));
+        // Node 1 upgrades its S copy before the inval lands: a write MSHR.
+        let mut upgrade = Vec::new();
+        p.cpu_op(Time::ZERO, NodeId(1), CpuOp::Store(b), &mut upgrade);
+        let acked = sends(&deliver(&mut p, NodeId(1), inval1.2));
+        assert_eq!(
+            acked,
+            vec![(NodeId(1), NodeId(3), Msg::InvAck { block: b })]
+        );
+        assert_eq!(p.cache(NodeId(1)).state(b), Some(CacheState::Shared));
+
+        let mut rest = upgrade;
+        for (src, dst, msg) in pending.into_iter().chain(acked) {
+            send(&mut rest, src, dst, msg, Vnet::Data, Duration::ZERO);
+        }
+        assert_eq!(settle(&mut p, rest).len(), 2, "both stores complete");
+        assert_eq!(p.cache(NodeId(1)).state(b), Some(CacheState::Modified));
+        assert_eq!(p.final_value(b), 2);
+
+        // A stale inval reaching the owner of an M line: kept, still acked.
+        let stale = Msg::Inval {
+            block: b,
+            requester: NodeId(2),
+        };
+        let acked = sends(&deliver(&mut p, NodeId(1), stale));
+        assert_eq!(
+            acked,
+            vec![(NodeId(1), NodeId(2), Msg::InvAck { block: b })]
+        );
+        assert_eq!(p.cache(NodeId(1)).state(b), Some(CacheState::Modified));
+        assert_eq!(p.final_value(b), 2);
+    }
+
+    #[test]
+    fn inval_overtaking_a_load_retires_it_without_a_fill() {
+        let b = Block(8);
+        let mut p = engine(4);
+        let load = request_at_home(&mut p, NodeId(1), CpuOp::Load(b));
+        let getm = request_at_home(&mut p, NodeId(3), CpuOp::Store(b));
+        let (_, to, inval) = getm[1];
+        assert_eq!(to, NodeId(1));
+        let ack = sends(&deliver(&mut p, NodeId(1), inval));
+        assert!(matches!(ack[0].2, Msg::InvAck { .. }));
+        let done = deliver(&mut p, NodeId(1), load[0].2);
+        assert!(matches!(
+            done[..],
+            [ProtoAction::Complete {
+                node: NodeId(1),
+                value: 0
+            }]
+        ));
+        assert_eq!(p.cache(NodeId(1)).state(b), None, "no fill");
+        deliver(&mut p, NodeId(3), getm[0].2);
+        let done3 = deliver(&mut p, NodeId(3), ack[0].2);
+        assert!(matches!(done3[0], ProtoAction::Complete { value: 0, .. }));
+        assert_eq!(p.final_value(b), 1);
     }
 }

@@ -411,7 +411,7 @@ impl Protocol for DirOpt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::testkit::{deliver, run_op, sends};
+    use crate::engine::testkit::{deliver, request_at_home, run_op, sends, settle};
 
     fn engine(n: usize) -> DirOpt {
         DirOpt::new(
@@ -636,5 +636,62 @@ mod tests {
         assert_eq!(p.final_value(b), 1);
         assert_eq!(run_op(&mut p, NodeId(0), CpuOp::Load(b)), 1);
         assert_eq!(p.stats().cache_to_cache, 0, "memory serves after writeback");
+    }
+
+    #[test]
+    fn inval_to_a_writer_keeps_the_line() {
+        let b = Block(8);
+        let mut p = engine(4);
+        run_op(&mut p, NodeId(1), CpuOp::Load(b));
+        run_op(&mut p, NodeId(2), CpuOp::Load(b));
+        let mut pending = request_at_home(&mut p, NodeId(3), CpuOp::Store(b));
+        let inval1 = pending.remove(0);
+        assert_eq!(inval1.1, NodeId(1));
+        // Node 1 upgrades its S copy before the inval lands: a write MSHR.
+        let mut rest = Vec::new();
+        p.cpu_op(Time::ZERO, NodeId(1), CpuOp::Store(b), &mut rest);
+        assert!(deliver(&mut p, NodeId(1), inval1.2).is_empty(), "no ack");
+        assert_eq!(p.cache(NodeId(1)).state(b), Some(CacheState::Shared));
+
+        for (src, dst, msg) in pending {
+            send(
+                &mut rest,
+                src,
+                dst,
+                msg,
+                Vnet::Data,
+                tss_sim::Duration::ZERO,
+            );
+        }
+        assert_eq!(settle(&mut p, rest).len(), 2, "both stores complete");
+        assert_eq!(p.cache(NodeId(1)).state(b), Some(CacheState::Modified));
+
+        // The same inval, arriving again at the owner of an M line: kept.
+        assert!(deliver(&mut p, NodeId(1), inval1.2).is_empty());
+        assert_eq!(p.cache(NodeId(1)).state(b), Some(CacheState::Modified));
+        assert_eq!(p.final_value(b), 2);
+    }
+
+    #[test]
+    fn inval_overtaking_a_load_retires_it_without_a_fill() {
+        let b = Block(8);
+        let mut p = engine(4);
+        let load = request_at_home(&mut p, NodeId(1), CpuOp::Load(b));
+        let getm = request_at_home(&mut p, NodeId(3), CpuOp::Store(b));
+        let (_, to, inval) = getm[0];
+        assert_eq!(to, NodeId(1));
+        assert!(deliver(&mut p, NodeId(1), inval).is_empty());
+        let done = deliver(&mut p, NodeId(1), load[0].2);
+        assert!(matches!(
+            done[..],
+            [ProtoAction::Complete {
+                node: NodeId(1),
+                value: 0
+            }]
+        ));
+        assert_eq!(p.cache(NodeId(1)).state(b), None, "no fill");
+        let done3 = deliver(&mut p, NodeId(3), getm[1].2);
+        assert!(matches!(done3[0], ProtoAction::Complete { value: 0, .. }));
+        assert_eq!(p.final_value(b), 1);
     }
 }

@@ -329,6 +329,19 @@ pub(crate) mod testkit {
             .collect()
     }
 
+    /// Issues `op` at `node` and delivers its miss request to the home,
+    /// returning the home's sends.
+    pub(crate) fn request_at_home(
+        p: &mut impl Protocol,
+        node: NodeId,
+        op: CpuOp,
+    ) -> Vec<(NodeId, NodeId, Msg)> {
+        let mut out = Vec::new();
+        p.cpu_op(Time::ZERO, node, op, &mut out);
+        let (_, home, req) = sends(&out)[0];
+        sends(&deliver(p, home, req))
+    }
+
     /// Runs a message and all recursively generated messages to
     /// quiescence, in FIFO order (a zero-latency network), returning the
     /// completions.
