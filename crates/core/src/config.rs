@@ -435,6 +435,10 @@ impl serde::Deserialize for NetworkModelSpec {
     }
 }
 
+/// The most nodes DirClassic and DirOpt can run on: their sharer sets
+/// are one `u64` bit vector.
+const DIRECTORY_MAX_NODES: u64 = 64;
+
 /// Why a configuration was rejected at build time.
 ///
 /// Returned by [`crate::SystemBuilder::build`] and
@@ -455,6 +459,16 @@ pub enum ConfigError {
         /// Requested node count.
         nodes: u64,
         /// The representable maximum.
+        max: u64,
+    },
+    /// A full-bit-vector directory protocol on more nodes than its
+    /// sharer vector has bits.
+    DirectoryTooLarge {
+        /// The directory protocol requested.
+        protocol: ProtocolKind,
+        /// The topology's node count.
+        nodes: u64,
+        /// The most nodes the directory can track.
         max: u64,
     },
     /// `instructions_per_ns` is zero: CPUs would never retire anything.
@@ -532,6 +546,15 @@ impl fmt::Display for ConfigError {
             ConfigError::TooManyNodes { nodes, max } => {
                 write!(f, "{nodes} nodes exceed the {max}-node id space")
             }
+            ConfigError::DirectoryTooLarge {
+                protocol,
+                nodes,
+                max,
+            } => write!(
+                f,
+                "{protocol} tracks sharers in a {max}-bit vector: at most {max} nodes, \
+                 not {nodes}"
+            ),
             ConfigError::ZeroProcessorRate => f.write_str("instructions_per_ns must be positive"),
             ConfigError::ZeroTick => {
                 f.write_str("the timestamp network tick must be a positive duration")
@@ -730,6 +753,17 @@ impl SystemConfig {
     /// topology's node count.
     pub fn validate(&self) -> Result<u64, ConfigError> {
         let nodes = self.topology.validate()?;
+        let directory = matches!(
+            self.protocol,
+            ProtocolKind::DirClassic | ProtocolKind::DirOpt
+        );
+        if directory && nodes > DIRECTORY_MAX_NODES {
+            return Err(ConfigError::DirectoryTooLarge {
+                protocol: self.protocol,
+                nodes,
+                max: DIRECTORY_MAX_NODES,
+            });
+        }
         if self.instructions_per_ns == 0 {
             return Err(ConfigError::ZeroProcessorRate);
         }
@@ -956,6 +990,31 @@ mod tests {
             bad_cache.validate(),
             Err(ConfigError::BadCacheGeometry { .. })
         ));
+    }
+
+    #[test]
+    fn directories_are_refused_past_their_bit_vector() {
+        let torus = |width, height| TopologyKind::Torus { width, height };
+        for protocol in ProtocolKind::WITH_TARDIS {
+            let at_limit = SystemConfig::paper_default(protocol, torus(8, 8));
+            assert_eq!(at_limit.validate(), Ok(64), "{protocol}");
+            let past = SystemConfig::paper_default(protocol, torus(9, 9)).validate();
+            match protocol {
+                ProtocolKind::DirClassic | ProtocolKind::DirOpt => {
+                    let err = past.unwrap_err();
+                    assert_eq!(
+                        err,
+                        ConfigError::DirectoryTooLarge {
+                            protocol,
+                            nodes: 81,
+                            max: 64
+                        }
+                    );
+                    assert!(err.to_string().contains("at most 64 nodes"), "{err}");
+                }
+                ProtocolKind::TsSnoop | ProtocolKind::Tardis => assert_eq!(past, Ok(81)),
+            }
+        }
     }
 
     #[test]

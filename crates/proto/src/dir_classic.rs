@@ -14,41 +14,29 @@
 //!   207 ns latencies of Table 2;
 //! * **invalidation acks** — a store to a shared block completes only after
 //!   the requester collects an ack from every sharer.
+//!
+//! The cache side is the controller DirOpt uses too (`dir_cache`); this
+//! file holds the home — busy states, nacks and deferred writebacks — and
+//! the messages only DirClassic sends: every `Inval` is acked, and a
+//! served GetM forward sends `Transfer` home.
 
 use tss_sim::hash::FastMap;
 
 use tss_net::NodeId;
 use tss_sim::{Duration, Time};
 
-use crate::cache::{CacheConfig, CacheState, L2Cache};
-use crate::engine::{self, bit, data, send, Retire, WbLog};
+use crate::cache::{CacheConfig, L2Cache};
+use crate::dir_cache::{bit, fwd_to_owner, invalidate, DirCache, DirTiming, Served};
+use crate::engine::{data, send};
 use crate::types::{
     Block, CpuOp, Msg, ProtoAction, ProtoEvent, Protocol, ProtocolStats, TxnKind, Vnet,
 };
 
-/// Controller timing for the directory protocols (Table 2).
-#[derive(Debug, Clone, Copy)]
-pub struct DirTiming {
-    /// Directory + memory access (`D_mem`, 80 ns).
-    pub d_mem: Duration,
-    /// Cache access when sourcing data (`D_cache`, 25 ns).
-    pub d_cache: Duration,
-}
-
-impl DirTiming {
-    /// Paper Table 2 values.
-    pub fn paper_default() -> Self {
-        DirTiming {
-            d_mem: Duration::from_ns(80),
-            d_cache: Duration::from_ns(25),
-        }
-    }
-}
-
 /// Directory entry states (full bit vector for sharers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum DirState {
     /// Memory owns the only copy.
+    #[default]
     Unowned,
     /// Read-only copies at the set bits; memory is fresh.
     Shared(u64),
@@ -60,44 +48,12 @@ enum DirState {
     BusyExclusive { owner: NodeId, requester: NodeId },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct DirBlock {
     state: DirState,
     value: u64,
     /// Writebacks that arrived during a busy window, replayed at closure.
     deferred_putm: Vec<(NodeId, u64)>,
-}
-
-impl Default for DirBlock {
-    fn default() -> Self {
-        DirBlock {
-            state: DirState::Unowned,
-            value: 0,
-            deferred_putm: Vec::new(),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Mshr {
-    block: Block,
-    op: CpuOp,
-    /// Data received (pre-increment value) — stores also need acks.
-    data: Option<(u64, bool)>, // (value, from_cache)
-    acks_expected: Option<u16>,
-    acks_got: u16,
-    invalidated: bool,
-    /// A forward that arrived before our own data, served once it lands.
-    /// The home lets at most one through per miss.
-    queued_fwd: Option<(TxnKind, NodeId)>,
-}
-
-#[derive(Debug)]
-struct DirNode {
-    cache: L2Cache,
-    mshr: Option<Mshr>,
-    /// Outstanding writebacks, resolved by their PutAck.
-    wb: WbLog,
 }
 
 /// The DirClassic protocol engine.
@@ -118,37 +74,25 @@ struct DirNode {
 #[derive(Debug)]
 pub struct DirClassic {
     n: usize,
-    nodes: Vec<DirNode>,
+    caches: DirCache,
     dir: FastMap<Block, DirBlock>,
     timing: DirTiming,
-    retire: Retire,
 }
 
 impl DirClassic {
     /// Creates the engine for `n` nodes (at most 64: full bit vector).
     pub fn new(n: usize, cache: CacheConfig, timing: DirTiming, verify: bool) -> Self {
-        assert!(
-            n <= 64,
-            "full-bit-vector directory supports at most 64 nodes"
-        );
         DirClassic {
             n,
-            nodes: (0..n)
-                .map(|_| DirNode {
-                    cache: L2Cache::new(cache),
-                    mshr: None,
-                    wb: WbLog::default(),
-                })
-                .collect(),
+            caches: DirCache::new(n, cache, timing.d_cache, verify),
             dir: FastMap::default(),
             timing,
-            retire: Retire::new(verify),
         }
     }
 
     /// Direct read access to a node's cache (diagnostics/tests).
     pub fn cache(&self, node: NodeId) -> &L2Cache {
-        &self.nodes[node.index()].cache
+        self.caches.cache(node)
     }
 
     /// Directory processing of a request at the home node.
@@ -180,18 +124,7 @@ impl DirClassic {
                         owner: o,
                         requester: r,
                     };
-                    send(
-                        out,
-                        home,
-                        o,
-                        Msg::Fwd {
-                            kind: TxnKind::GetS,
-                            block,
-                            requester: r,
-                        },
-                        Vnet::Forward,
-                        d_mem,
-                    );
+                    fwd_to_owner(out, home, o, TxnKind::GetS, block, r, d_mem);
                 }
                 DirState::BusyShared { .. } | DirState::BusyExclusive { .. } => {
                     send(out, home, r, Msg::Nack { kind, block }, Vnet::Data, d_mem);
@@ -206,54 +139,21 @@ impl DirClassic {
                 DirState::Shared(s) => {
                     let others = s & !bit(r);
                     db.state = DirState::Exclusive(r);
-                    let v = db.value;
-                    let acks = others.count_ones() as u16;
-                    send(
-                        out,
-                        home,
-                        r,
-                        Msg::Data {
-                            block,
-                            value: v,
-                            acks_expected: acks,
-                            from_cache: false,
-                        },
-                        Vnet::Data,
-                        d_mem,
-                    );
-                    for i in 0..self.n {
-                        if others & (1 << i) != 0 {
-                            send(
-                                out,
-                                home,
-                                NodeId(i as u16),
-                                Msg::Inval {
-                                    block,
-                                    requester: r,
-                                },
-                                Vnet::Forward,
-                                d_mem,
-                            );
-                        }
-                    }
+                    let reply = Msg::Data {
+                        block,
+                        value: db.value,
+                        acks_expected: others.count_ones() as u16,
+                        from_cache: false,
+                    };
+                    send(out, home, r, reply, Vnet::Data, d_mem);
+                    invalidate(out, home, block, r, others, d_mem);
                 }
                 DirState::Exclusive(o) => {
                     db.state = DirState::BusyExclusive {
                         owner: o,
                         requester: r,
                     };
-                    send(
-                        out,
-                        home,
-                        o,
-                        Msg::Fwd {
-                            kind: TxnKind::GetM,
-                            block,
-                            requester: r,
-                        },
-                        Vnet::Forward,
-                        d_mem,
-                    );
+                    fwd_to_owner(out, home, o, TxnKind::GetM, block, r, d_mem);
                 }
                 DirState::BusyShared { .. } | DirState::BusyExclusive { .. } => {
                     send(out, home, r, Msg::Nack { kind, block }, Vnet::Data, d_mem);
@@ -295,117 +195,41 @@ impl DirClassic {
         }
     }
 
-    /// A cache receives a forwarded request (it is, or very recently was,
-    /// the exclusive owner). An outstanding writeback still holding the
-    /// data serves first; otherwise an M line serves and drops to S (GetS)
-    /// or I (GetM). Either way the requester gets the data and the home
-    /// its Revision (GetS) or Transfer (GetM).
-    fn fwd_at_cache(
-        &mut self,
+    /// `me` served a forward: the home gets its Revision (GetS) or
+    /// Transfer (GetM), which closes the busy window.
+    fn tell_home(
+        &self,
         me: NodeId,
-        kind: TxnKind,
         block: Block,
-        r: NodeId,
+        served: Option<Served>,
         out: &mut Vec<ProtoAction>,
     ) {
-        let node = &mut self.nodes[me.index()];
-        let value = match node.wb.serve_owned(block) {
-            Some(value) => value,
-            None if node.cache.state(block) == Some(CacheState::Modified) => {
-                let value = node.cache.value(block).expect("an M line holds a value");
-                match kind {
-                    TxnKind::GetS => node.cache.set_state(block, CacheState::Shared),
-                    _ => node.cache.invalidate(block),
-                }
-                value
-            }
-            None => {
-                // Not yet the owner in practice: our own GetM data (and
-                // acks) are still in flight. Queue and serve at completion.
-                let m = node
-                    .mshr
-                    .as_mut()
-                    .expect("forward to a node that neither owns nor awaits the block");
-                assert_eq!(m.block, block, "forward for an unexpected block");
-                let earlier = m.queued_fwd.replace((kind, r));
-                assert!(
-                    earlier.is_none(),
-                    "home serializes forwards via busy states"
-                );
-                return;
-            }
+        let Some(Served {
+            kind,
+            requester: new_owner,
+            value,
+        }) = served
+        else {
+            return;
         };
-        let (d_cache, home) = (self.timing.d_cache, block.home(self.n));
-        send(out, me, r, data(block, value, true), Vnet::Data, d_cache);
-        let to_home = match kind {
+        let msg = match kind {
             TxnKind::GetS => Msg::Revision { block, value },
-            TxnKind::GetM => Msg::Transfer {
-                block,
-                new_owner: r,
-            },
+            TxnKind::GetM => Msg::Transfer { block, new_owner },
             TxnKind::PutM => unreachable!("PutM is never forwarded"),
         };
-        send(out, me, home, to_home, Vnet::Data, d_cache);
+        let home = block.home(self.n);
+        send(out, me, home, msg, Vnet::Data, self.timing.d_cache);
     }
 
-    /// Completion check for a write miss: data plus all invalidation acks.
-    fn try_complete(&mut self, me: NodeId, out: &mut Vec<ProtoAction>) {
-        let node = &mut self.nodes[me.index()];
-        let m = node.mshr.as_mut().expect("completion without mshr");
-        let Some((value, from_cache)) = m.data else {
-            return;
-        };
-        let need = m.acks_expected.unwrap_or(0);
-        if m.acks_got < need {
-            return;
-        }
-        let m = node.mshr.take().unwrap();
-        if from_cache {
-            self.retire.stats.cache_to_cache += 1;
-        }
-        let block = m.block;
-        let DirNode { cache, wb, .. } = node;
-        match m.op {
-            CpuOp::Load(_) => {
-                if !m.invalidated {
-                    let line = (block, CacheState::Shared, value);
-                    self.retire.fill_and_put_m(cache, wb, me, self.n, line, out);
-                }
-                self.retire.load(me, block, value, out);
-            }
-            CpuOp::Store(_) | CpuOp::Rmw(_) => {
-                let line = (block, CacheState::Modified, value + 1);
-                self.retire.fill_and_put_m(cache, wb, me, self.n, line, out);
-                self.retire.store(me, block, value, out);
-                // Serve a forward queued while our data was in flight.
-                if let Some((kind, r)) = m.queued_fwd {
-                    self.fwd_at_cache(me, kind, block, r, out);
-                }
-            }
-        }
+    /// The home's copy of `block`.
+    fn memory(&self, block: Block) -> u64 {
+        self.dir.get(&block).map_or(0, |d| d.value)
     }
 }
 
 impl Protocol for DirClassic {
     fn cpu_op(&mut self, _now: Time, node: NodeId, op: CpuOp, out: &mut Vec<ProtoAction>) {
-        assert!(
-            self.nodes[node.index()].mshr.is_none(),
-            "blocking CPU issued a second outstanding op"
-        );
-        let DirNode { cache, mshr, .. } = &mut self.nodes[node.index()];
-        if self.retire.hit(cache, node, op, out) {
-            return;
-        }
-        *mshr = Some(Mshr {
-            block: op.block(),
-            op,
-            data: None,
-            acks_expected: None,
-            acks_got: 0,
-            invalidated: false,
-            queued_fwd: None,
-        });
-        engine::miss(out, node, self.n, op);
+        self.caches.cpu_op(node, op, out);
     }
 
     fn handle(&mut self, _now: Time, event: ProtoEvent, out: &mut Vec<ProtoAction>) {
@@ -428,61 +252,30 @@ impl Protocol for DirClassic {
                 acks_expected,
                 from_cache,
             } => {
-                let m = self.nodes[me.index()].mshr.as_mut().expect("stray data");
-                assert_eq!(m.block, block);
-                m.data = Some((value, from_cache));
-                m.acks_expected = Some(acks_expected);
-                self.try_complete(me, out);
+                let served = self
+                    .caches
+                    .data(me, block, value, acks_expected, from_cache, out);
+                self.tell_home(me, block, served, out);
             }
             Msg::InvAck { block } => {
-                let m = self.nodes[me.index()].mshr.as_mut().expect("stray inv-ack");
-                assert_eq!(m.block, block);
-                m.acks_got += 1;
-                self.try_complete(me, out);
+                let served = self.caches.inv_ack(me, block, out);
+                self.tell_home(me, block, served, out);
             }
             Msg::Inval { block, requester } => {
-                // Always ack; invalidate unless we already own the block
-                // again (a stale inval that lost a long race).
-                let node = &mut self.nodes[me.index()];
-                let stale_owner = node.cache.state(block) == Some(CacheState::Modified)
-                    || node
-                        .mshr
-                        .as_ref()
-                        .is_some_and(|m| m.block == block && m.op.is_write());
-                if !stale_owner {
-                    node.cache.invalidate(block);
-                    if let Some(m) = node.mshr.as_mut() {
-                        if m.block == block {
-                            m.invalidated = true;
-                        }
-                    }
-                }
-                send(
-                    out,
-                    me,
-                    requester,
-                    Msg::InvAck { block },
-                    Vnet::Data,
-                    Duration::ZERO,
-                );
+                // Acked even when stale, and the line kept.
+                self.caches.inval(me, block);
+                let ack = Msg::InvAck { block };
+                send(out, me, requester, ack, Vnet::Data, Duration::ZERO);
             }
             Msg::Fwd {
                 kind,
                 block,
                 requester,
             } => {
-                self.fwd_at_cache(me, kind, block, requester, out);
+                let served = self.caches.fwd_at_cache(me, kind, block, requester, out);
+                self.tell_home(me, block, served, out);
             }
-            Msg::Nack { kind, block } => {
-                self.retire.stats.nacks += 1;
-                self.retire.stats.retries += 1;
-                let m = self.nodes[me.index()]
-                    .mshr
-                    .as_ref()
-                    .expect("nack without mshr");
-                assert_eq!((m.block, m.op.is_write()), (block, kind == TxnKind::GetM));
-                engine::miss(out, me, self.n, m.op);
-            }
+            Msg::Nack { kind, block } => self.caches.retry(me, kind, block, out),
             Msg::Revision { block, value } => {
                 debug_assert_eq!(me, block.home(self.n));
                 let db = self.dir.entry(block).or_default();
@@ -503,9 +296,7 @@ impl Protocol for DirClassic {
                 db.state = DirState::Exclusive(new_owner);
                 self.replay_deferred(me, block, out);
             }
-            Msg::PutAck { block, .. } => {
-                self.nodes[me.index()].wb.resolve_oldest(block);
-            }
+            Msg::PutAck { block, .. } => self.caches.put_ack(me, block),
             other => panic!("DirClassic received a snooping message: {other:?}"),
         }
     }
@@ -515,16 +306,15 @@ impl Protocol for DirClassic {
     }
 
     fn stats(&self) -> ProtocolStats {
-        self.retire.stats
+        self.caches.stats()
     }
 
     fn final_value(&self, block: Block) -> u64 {
-        engine::modified_value(self.nodes.iter().map(|n| &n.cache), block)
-            .unwrap_or_else(|| self.dir.get(&block).map_or(0, |d| d.value))
+        self.caches.final_value(block, |b| self.memory(b))
     }
 
     fn check_lost_updates(&self) -> Result<(), String> {
-        self.retire.check_lost_updates(|b| self.final_value(b))
+        self.caches.check_lost_updates(|b| self.memory(b))
     }
 }
 
@@ -533,6 +323,7 @@ mod tests {
     use std::collections::VecDeque;
 
     use super::*;
+    use crate::cache::CacheState;
     use crate::engine::testkit::{deliver, request_at_home, run_op, sends, settle};
 
     fn engine(n: usize) -> DirClassic {
@@ -729,7 +520,7 @@ mod tests {
         let mut p = engine(4);
         run_op(&mut p, NodeId(1), CpuOp::Load(Block(4)));
         // Node 1 silently drops its S copy.
-        p.nodes[1].cache.invalidate(Block(4));
+        p.caches.cache_mut(NodeId(1)).invalidate(Block(4));
         // Node 3 stores: the directory still believes node 1 shares, sends
         // an inval, and node 1 must ack it.
         assert_eq!(run_op(&mut p, NodeId(3), CpuOp::Store(Block(4))), 0);

@@ -14,6 +14,10 @@
 //!   flight home), data replies are *deferred*, not nacked: each deferred
 //!   request records a revision watermark and is served as soon as the
 //!   revisions it logically follows have landed.
+//!
+//! The cache side is the controller DirClassic uses too (`dir_cache`);
+//! this file holds the home and its revision watermarks. A served GetS
+//! forward revises memory; a served GetM tells the home nothing.
 
 use std::collections::VecDeque;
 
@@ -22,9 +26,9 @@ use tss_sim::hash::FastMap;
 use tss_net::NodeId;
 use tss_sim::Time;
 
-use crate::cache::{CacheConfig, CacheState, L2Cache};
-use crate::dir_classic::DirTiming;
-use crate::engine::{self, bit, data, send, Retire, WbLog};
+use crate::cache::{CacheConfig, L2Cache};
+use crate::dir_cache::{bit, fwd_to_owner, invalidate, DirCache, DirTiming, Served};
+use crate::engine::{data, send};
 use crate::types::{
     Block, CpuOp, Msg, ProtoAction, ProtoEvent, Protocol, ProtocolStats, TxnKind, Vnet,
 };
@@ -39,28 +43,10 @@ struct DirBlock {
     rev_expected: u64,
     /// Revisions that have landed.
     rev_received: u64,
-    /// Requests awaiting fresh memory data: `(kind, requester, watermark)` —
-    /// serviceable once `rev_received >= watermark`.
-    deferred: VecDeque<(TxnKind, NodeId, u64)>,
+    /// GetS and GetM requesters awaiting fresh memory data, each with the
+    /// watermark `rev_received` must reach first.
+    deferred: VecDeque<(NodeId, u64)>,
     value: u64,
-}
-
-#[derive(Debug)]
-struct Mshr {
-    block: Block,
-    op: CpuOp,
-    invalidated: bool,
-    /// A forward that arrived before our own data, served once it lands.
-    /// The home lets at most one through per miss.
-    queued_fwd: Option<(TxnKind, NodeId)>,
-}
-
-#[derive(Debug)]
-struct DirNode {
-    cache: L2Cache,
-    mshr: Option<Mshr>,
-    /// Outstanding writebacks, resolved by their PutAck.
-    wb: WbLog,
 }
 
 /// The DirOpt protocol engine.
@@ -80,37 +66,25 @@ struct DirNode {
 #[derive(Debug)]
 pub struct DirOpt {
     n: usize,
-    nodes: Vec<DirNode>,
+    caches: DirCache,
     dir: FastMap<Block, DirBlock>,
     timing: DirTiming,
-    retire: Retire,
 }
 
 impl DirOpt {
     /// Creates the engine for `n` nodes (at most 64: full bit vector).
     pub fn new(n: usize, cache: CacheConfig, timing: DirTiming, verify: bool) -> Self {
-        assert!(
-            n <= 64,
-            "full-bit-vector directory supports at most 64 nodes"
-        );
         DirOpt {
             n,
-            nodes: (0..n)
-                .map(|_| DirNode {
-                    cache: L2Cache::new(cache),
-                    mshr: None,
-                    wb: WbLog::default(),
-                })
-                .collect(),
+            caches: DirCache::new(n, cache, timing.d_cache, verify),
             dir: FastMap::default(),
             timing,
-            retire: Retire::new(verify),
         }
     }
 
     /// Direct read access to a node's cache (diagnostics/tests).
     pub fn cache(&self, node: NodeId) -> &L2Cache {
-        &self.nodes[node.index()].cache
+        self.caches.cache(node)
     }
 
     fn dir_request(
@@ -130,24 +104,12 @@ impl DirOpt {
                     // Three-hop: the owner supplies data and revises memory.
                     db.sharers |= bit(o) | bit(r);
                     db.rev_expected += 1;
-                    send(
-                        out,
-                        home,
-                        o,
-                        Msg::Fwd {
-                            kind: TxnKind::GetS,
-                            block,
-                            requester: r,
-                        },
-                        Vnet::Forward,
-                        d_mem,
-                    );
+                    fwd_to_owner(out, home, o, TxnKind::GetS, block, r, d_mem);
                 } else if db.rev_received < db.rev_expected {
                     // Memory is stale until the in-flight revision lands:
                     // defer the reply (never nack).
                     db.sharers |= bit(r);
-                    let watermark = db.rev_expected;
-                    db.deferred.push_back((TxnKind::GetS, r, watermark));
+                    db.deferred.push_back((r, db.rev_expected));
                 } else {
                     db.sharers |= bit(r);
                     let v = db.value;
@@ -162,37 +124,11 @@ impl DirOpt {
                 }
                 db.sharers = 0;
                 db.owner = Some(r);
-                for i in 0..self.n {
-                    if to_inval & (1 << i) != 0 {
-                        send(
-                            out,
-                            home,
-                            NodeId(i as u16),
-                            Msg::Inval {
-                                block,
-                                requester: r,
-                            },
-                            Vnet::Forward,
-                            d_mem,
-                        );
-                    }
-                }
+                invalidate(out, home, block, r, to_inval, d_mem);
                 if let Some(o) = old_owner {
-                    send(
-                        out,
-                        home,
-                        o,
-                        Msg::Fwd {
-                            kind: TxnKind::GetM,
-                            block,
-                            requester: r,
-                        },
-                        Vnet::Forward,
-                        d_mem,
-                    );
+                    fwd_to_owner(out, home, o, TxnKind::GetM, block, r, d_mem);
                 } else if db.rev_received < db.rev_expected {
-                    let watermark = db.rev_expected;
-                    db.deferred.push_back((TxnKind::GetM, r, watermark));
+                    db.deferred.push_back((r, db.rev_expected));
                 } else {
                     let v = db.value;
                     send(out, home, r, data(block, v, false), Vnet::Data, d_mem);
@@ -222,114 +158,43 @@ impl DirOpt {
         assert!(db.rev_received < db.rev_expected, "unexpected revision");
         db.rev_received += 1;
         db.value = value;
-        while let Some(&(kind, r, watermark)) = db.deferred.front() {
+        while let Some(&(r, watermark)) = db.deferred.front() {
             if db.rev_received < watermark {
                 break;
             }
             db.deferred.pop_front();
-            let v = db.value;
-            match kind {
-                TxnKind::GetS | TxnKind::GetM => {
-                    send(out, home, r, data(block, v, false), Vnet::Data, d_mem);
-                }
-                TxnKind::PutM => unreachable!("PutM is never deferred"),
-            }
+            send(out, home, r, data(block, value, false), Vnet::Data, d_mem);
         }
     }
 
-    /// A forwarded request lands at the owner. An outstanding writeback
-    /// still holding the data serves first; otherwise an M line serves and
-    /// drops to S (GetS) or I (GetM). A GetS also revises memory.
-    fn fwd_at_cache(
-        &mut self,
+    /// `me` served a forward: a GetS revises memory.
+    fn tell_home(
+        &self,
         me: NodeId,
-        kind: TxnKind,
         block: Block,
-        r: NodeId,
+        served: Option<Served>,
         out: &mut Vec<ProtoAction>,
     ) {
-        let node = &mut self.nodes[me.index()];
-        let value = match node.wb.serve_owned(block) {
-            Some(value) => value,
-            None if node.cache.state(block) == Some(CacheState::Modified) => {
-                let value = node.cache.value(block).expect("an M line holds a value");
-                match kind {
-                    TxnKind::GetS => node.cache.set_state(block, CacheState::Shared),
-                    _ => node.cache.invalidate(block),
-                }
-                value
-            }
-            None => {
-                let m = node
-                    .mshr
-                    .as_mut()
-                    .expect("forward to a node that neither owns nor awaits the block");
-                assert_eq!(m.block, block, "forward for an unexpected block");
-                let earlier = m.queued_fwd.replace((kind, r));
-                assert!(earlier.is_none(), "the directory serialises forwards");
-                return;
-            }
-        };
-        let (d_cache, home) = (self.timing.d_cache, block.home(self.n));
-        send(out, me, r, data(block, value, true), Vnet::Data, d_cache);
-        if kind == TxnKind::GetS {
-            let revision = Msg::Revision { block, value };
-            send(out, me, home, revision, Vnet::Data, d_cache);
+        if let Some(Served {
+            kind: TxnKind::GetS,
+            value,
+            ..
+        }) = served
+        {
+            let (revision, home) = (Msg::Revision { block, value }, block.home(self.n));
+            send(out, me, home, revision, Vnet::Data, self.timing.d_cache);
         }
     }
 
-    fn data_arrived(
-        &mut self,
-        me: NodeId,
-        block: Block,
-        value: u64,
-        from_cache: bool,
-        out: &mut Vec<ProtoAction>,
-    ) {
-        let DirNode { cache, mshr, wb } = &mut self.nodes[me.index()];
-        let m = mshr.take().expect("stray data");
-        assert_eq!(m.block, block);
-        if from_cache {
-            self.retire.stats.cache_to_cache += 1;
-        }
-        match m.op {
-            CpuOp::Load(_) => {
-                if !m.invalidated {
-                    let line = (block, CacheState::Shared, value);
-                    self.retire.fill_and_put_m(cache, wb, me, self.n, line, out);
-                }
-                self.retire.load(me, block, value, out);
-                assert!(m.queued_fwd.is_none(), "reader cannot receive forwards");
-            }
-            CpuOp::Store(_) | CpuOp::Rmw(_) => {
-                let line = (block, CacheState::Modified, value + 1);
-                self.retire.fill_and_put_m(cache, wb, me, self.n, line, out);
-                self.retire.store(me, block, value, out);
-                if let Some((kind, r)) = m.queued_fwd {
-                    self.fwd_at_cache(me, kind, block, r, out);
-                }
-            }
-        }
+    /// The home's copy of `block`.
+    fn memory(&self, block: Block) -> u64 {
+        self.dir.get(&block).map_or(0, |d| d.value)
     }
 }
 
 impl Protocol for DirOpt {
     fn cpu_op(&mut self, _now: Time, node: NodeId, op: CpuOp, out: &mut Vec<ProtoAction>) {
-        assert!(
-            self.nodes[node.index()].mshr.is_none(),
-            "blocking CPU issued a second outstanding op"
-        );
-        let DirNode { cache, mshr, .. } = &mut self.nodes[node.index()];
-        if self.retire.hit(cache, node, op, out) {
-            return;
-        }
-        *mshr = Some(Mshr {
-            block: op.block(),
-            op,
-            invalidated: false,
-            queued_fwd: None,
-        });
-        engine::miss(out, node, self.n, op);
+        self.caches.cpu_op(node, op, out);
     }
 
     fn handle(&mut self, _now: Time, event: ProtoEvent, out: &mut Vec<ProtoAction>) {
@@ -349,43 +214,29 @@ impl Protocol for DirOpt {
             Msg::Data {
                 block,
                 value,
+                acks_expected,
                 from_cache,
-                ..
             } => {
-                self.data_arrived(me, block, value, from_cache, out);
+                let served = self
+                    .caches
+                    .data(me, block, value, acks_expected, from_cache, out);
+                self.tell_home(me, block, served, out);
             }
-            Msg::Inval { block, .. } => {
-                // No ack. Ignore if we own (a stale inval that lost a very
-                // long race); otherwise drop the copy.
-                let node = &mut self.nodes[me.index()];
-                let owner_now = node.cache.state(block) == Some(CacheState::Modified)
-                    || node
-                        .mshr
-                        .as_ref()
-                        .is_some_and(|m| m.block == block && m.op.is_write());
-                if !owner_now {
-                    node.cache.invalidate(block);
-                    if let Some(m) = node.mshr.as_mut() {
-                        if m.block == block {
-                            m.invalidated = true;
-                        }
-                    }
-                }
-            }
+            // No ack.
+            Msg::Inval { block, .. } => self.caches.inval(me, block),
             Msg::Fwd {
                 kind,
                 block,
                 requester,
             } => {
-                self.fwd_at_cache(me, kind, block, requester, out);
+                let served = self.caches.fwd_at_cache(me, kind, block, requester, out);
+                self.tell_home(me, block, served, out);
             }
             Msg::Revision { block, value } => {
                 debug_assert_eq!(me, block.home(self.n));
                 self.revision(me, block, value, out);
             }
-            Msg::PutAck { block, .. } => {
-                self.nodes[me.index()].wb.resolve_oldest(block);
-            }
+            Msg::PutAck { block, .. } => self.caches.put_ack(me, block),
             other => panic!("DirOpt received an unexpected message: {other:?}"),
         }
     }
@@ -395,22 +246,22 @@ impl Protocol for DirOpt {
     }
 
     fn stats(&self) -> ProtocolStats {
-        self.retire.stats
+        self.caches.stats()
     }
 
     fn final_value(&self, block: Block) -> u64 {
-        engine::modified_value(self.nodes.iter().map(|n| &n.cache), block)
-            .unwrap_or_else(|| self.dir.get(&block).map_or(0, |d| d.value))
+        self.caches.final_value(block, |b| self.memory(b))
     }
 
     fn check_lost_updates(&self) -> Result<(), String> {
-        self.retire.check_lost_updates(|b| self.final_value(b))
+        self.caches.check_lost_updates(|b| self.memory(b))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheState;
     use crate::engine::testkit::{deliver, request_at_home, run_op, sends, settle};
 
     fn engine(n: usize) -> DirOpt {

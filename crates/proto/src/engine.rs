@@ -281,11 +281,6 @@ fn to_home(
     send(out, node, block.home(n), msg, Vnet::Request, Duration::ZERO);
 }
 
-/// `node`'s bit in a full-bit-vector sharer set.
-pub(crate) fn bit(node: NodeId) -> u64 {
-    1u64 << node.index()
-}
-
 /// The value of the one M copy of `block` among `caches`, if any.
 pub(crate) fn modified_value<'a>(
     caches: impl IntoIterator<Item = &'a L2Cache>,

@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod dir_cache;
 mod dir_classic;
 mod dir_opt;
 mod engine;
@@ -61,7 +62,8 @@ mod types;
 pub mod verify;
 
 pub use cache::{CacheConfig, CacheState, L2Cache, Victim};
-pub use dir_classic::{DirClassic, DirTiming};
+pub use dir_cache::DirTiming;
+pub use dir_classic::DirClassic;
 pub use dir_opt::DirOpt;
 pub use snoop::{SnoopTiming, TsSnoop};
 pub use tardis::Tardis;

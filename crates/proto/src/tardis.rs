@@ -42,7 +42,7 @@ use tss_net::NodeId;
 use tss_sim::{Gt, Time};
 
 use crate::cache::{CacheConfig, CacheState, L2Cache};
-use crate::dir_classic::DirTiming;
+use crate::dir_cache::DirTiming;
 use crate::engine::{self, data, send, Retire, WbLog};
 use crate::types::{
     Block, CpuOp, Msg, ProtoAction, ProtoEvent, Protocol, ProtocolStats, TxnKind, Vnet,

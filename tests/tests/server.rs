@@ -294,6 +294,44 @@ fn malformed_requests_get_4xx_not_hangs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A directory protocol on more nodes than its sharer vector holds is a
+/// 400 at submit, and no worker dies: the next valid grid still runs.
+#[test]
+fn a_directory_past_64_nodes_is_a_400_and_the_server_keeps_serving() {
+    let (server, dir) = server("dir81", 1);
+    let url = server.url();
+
+    let mut big = request("server-dir81");
+    big.scale = 0.001;
+    big.protocols = vec![ProtocolKind::DirClassic];
+    big.topologies = vec![TopologyKind::Torus {
+        width: 9,
+        height: 9,
+    }];
+    let probe = url.clone();
+    let refused = within(Duration::from_secs(20), "the 81-node grid", move || {
+        client::run_remote(&probe, &big, |_| {})
+    });
+    match refused {
+        Err(client::RemoteError::Http { status: 400, body }) => {
+            assert!(body.contains("at most 64 nodes"), "{body}");
+        }
+        other => panic!("expected HTTP 400, got {other:?}"),
+    }
+
+    let probe = url.clone();
+    let report = within(Duration::from_secs(60), "the valid grid", move || {
+        client::run_remote(&probe, &request("server-after-dir81"), |_| {})
+    })
+    .expect("a valid grid after the refusal");
+    let local = local_grid("server-after-dir81").run().unwrap();
+    assert_eq!(report.to_json(), local.to_json());
+    assert_eq!(stat(&stats(&url), "cells", "executed"), 3);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------- graceful shutdown
 
 #[test]
