@@ -233,7 +233,7 @@ impl DirCache {
         if m.acks_got < m.acks_expected {
             return None;
         }
-        let m = node.mshr.take().unwrap();
+        let m = node.mshr.take().expect("the MSHR checked above");
         if from_cache {
             self.retire.stats.cache_to_cache += 1;
         }

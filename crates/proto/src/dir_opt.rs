@@ -181,7 +181,7 @@ impl DirOpt {
             ..
         }) = served
         {
-            let (revision, home) = (Msg::Revision { block, value }, block.home(self.n));
+            let (home, revision) = (block.home(self.n), Msg::Revision { block, value });
             send(out, me, home, revision, Vnet::Data, self.timing.d_cache);
         }
     }

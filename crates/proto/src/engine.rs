@@ -7,7 +7,9 @@
 //! [`ValueChecker`], dirty-victim filling, the outstanding-writeback log,
 //! the lost-update check and, for the engines that talk to a home node
 //! point to point, the miss request and the PutM. Each engine keeps only
-//! what differs: how a miss is ordered and served.
+//! what differs: how a miss is ordered and served. The two directories
+//! build one more shared layer on top, their cache controller
+//! (`dir_cache`).
 
 use std::collections::VecDeque;
 

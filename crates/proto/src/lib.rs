@@ -32,7 +32,12 @@
 //! ordered request in one function whether it acts at once or replays
 //! it from its deferred log, and its owner response (data, plus the
 //! writeback home on a GetS) is one function whichever of a writeback,
-//! an M line or a just-filled line supplies the data.
+//! an M line or a just-filled line supplies the data. [`DirClassic`] and
+//! [`DirOpt`] differ only at the home, so they share one crate-private
+//! cache controller (MSHRs, miss completion, forwards served or queued,
+//! stale invalidations) and keep only their directories and the home
+//! messages each sends. Both track sharers in a 64-bit vector and run on
+//! at most 64 nodes.
 //!
 //! # Example
 //!
